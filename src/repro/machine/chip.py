@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..measure.skitter import SkitterConfig, SkitterMacro
 from ..pdn.kernels import CompiledChipKernel, compile_kernel
@@ -135,6 +137,18 @@ class Chip:
         if self.row_of(observer) == self.row_of(source):
             return self.config.ssn_row_weight
         return self.config.ssn_cross_weight
+
+    @cached_property
+    def coupling_matrix(self) -> np.ndarray:
+        """Read-only (observer × source) matrix of
+        :meth:`coupling_weight` over every core pair."""
+        weights = np.array([
+            [self.coupling_weight(observer, source)
+             for source in range(self.n_cores)]
+            for observer in range(self.n_cores)
+        ])
+        weights.flags.writeable = False
+        return weights
 
     # -- cached solver artifacts -----------------------------------------
     @cached_property

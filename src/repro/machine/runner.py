@@ -50,6 +50,14 @@ __all__ = [
 #: Non-core nodes additionally recorded when waveforms are collected.
 WAVEFORM_EXTRA_NODES = ("dom_n", "dom_s", "l3")
 
+#: Elapsed times after every ΔI edge at which a segment's sample grid
+#: probes the response: dense through the ramp, then log-spaced.
+_PROBE_OFFSETS = np.concatenate([
+    np.linspace(0.0, 30e-9, 13),
+    np.geomspace(40e-9, 4e-6, 36),
+])
+_PROBE_OFFSETS.flags.writeable = False
+
 
 @dataclass
 class RunOptions:
@@ -525,13 +533,7 @@ class ChipRunner:
                 n_base=options.base_samples,
                 first_index=np.arange(base.size),
             )
-        probe_offsets = np.concatenate(
-            [
-                np.linspace(0.0, 30e-9, 13),
-                np.geomspace(40e-9, 4e-6, 36),
-            ]
-        )
-        probes = (edge_times[:, None] + probe_offsets[None, :]).ravel()
+        probes = (edge_times[:, None] + _PROBE_OFFSETS[None, :]).ravel()
         keep = (probes >= 0.0) & (probes <= t_end)
         times, first_index = np.unique(
             np.concatenate([base, probes[keep]]), return_index=True
@@ -541,7 +543,7 @@ class ChipRunner:
             t_end=t_end,
             n_base=options.base_samples,
             anchors=edge_times,
-            offsets=probe_offsets,
+            offsets=_PROBE_OFFSETS,
             probe_mask=keep,
             first_index=first_index,
         )
@@ -608,9 +610,5 @@ class ChipRunner:
             cols = amps[:, c == core]
             if cols.size:
                 per_core[:, core] = cols.max(axis=1)
-        weights = np.array([
-            [chip.coupling_weight(observer, core) for core in range(n_cores)]
-            for observer in range(n_cores)
-        ])
-        totals = per_core @ weights.T           # (windows, observers)
+        totals = per_core @ chip.coupling_matrix.T   # (windows, observers)
         return [float(v) for v in totals.max(axis=0)]

@@ -97,7 +97,6 @@ def _close_loop(
     isa: Isa, body: list[InstructionInstance], label: str
 ) -> list[InstructionInstance]:
     branch = find_loop_branch(isa)
-    materializer = _OperandMaterializer(skip_label=label)
     values = tuple(
         label if op.kind is OperandKind.LABEL else "r3"
         for op in branch.operands

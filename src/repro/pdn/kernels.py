@@ -36,11 +36,17 @@ deviation exceeds the pinned budget — which is what lets the engine's
 ``auto`` backend fall back to the reference solver for a chip whose
 spectrum does not factor cleanly.
 
-The prefix-sum factorization bounds its exponents by
-``max|Re λ_slow| · span``; segments whose span would overflow that
-budget (very sparse isolated-edge trains) transparently use a pairwise
-evaluation of the slow tier instead — same math, no stability
-constraint, and cheap exactly in the sparse regime where it triggers.
+The prefix-sum factorization's exponents grow with the time since
+its origin, at ``max|Re λ_slow|`` e-folds per second, so the kernel
+re-bases it per *chunk* of the sample axis: chunks split the grid at
+multiples of ``_EXP_BUDGET / max|Re λ_slow|`` (≈81 µs on the reference
+chip), and a chunk starting at ``o_c`` evaluates
+``e^{λ(t − t_e)} = e^{λ(t − o_c)} · e^{−λ(t_e − o_c)}`` with prefix
+sums over only the edges its samples can see.  Every exponent then
+stays within the budget however long the segment (sparse
+isolated-edge trains reach ~0.75 ms).  A grid inside the first span is
+one chunk at origin 0 — the plain factorization, phases built from the
+grid's provenance.
 
 Kernels are memoized per chip fingerprint (a content digest of the
 response library they compile) via :func:`compile_kernel`, so a warm
@@ -95,7 +101,9 @@ _FAST_EFOLDS = 16.0
 
 #: Exponent magnitude budget of the prefix factorization (|e^±x| stays
 #: around 7e217, far from the ~1.8e308 double overflow, with headroom
-#: for the modal coefficient magnitudes).
+#: for the modal coefficient magnitudes).  It also sets the slow tier's
+#: chunk span, ``_EXP_BUDGET / max|Re λ_slow|``: within one chunk no
+#: phase or decay factor leaves ``e^{±_EXP_BUDGET}``.
 _EXP_BUDGET = 500.0
 
 #: Capacity of the per-kernel segment caches (phase matrices and tier
@@ -194,24 +202,25 @@ def clear_kernel_cache() -> None:
 @dataclass
 class _TierIndex:
     """Port-independent bookkeeping of one (sample grid, edge instants)
-    pair: which (sample, edge) pairs land in which tier, with the
-    window tier's ragged ranges pre-expanded into flat knot/fraction
-    arrays.  Every quantity here depends only on *times* — the edge
-    deltas join at evaluation time — which is what makes it reusable
-    across ports, segments and runs of a synchronized sweep."""
+    pair: which (sample, edge) pairs land in which tier, the slow
+    tier's chunk-re-based decay factors laid out as padded
+    (chunk, slot) rows, and the window tier's ragged ranges
+    pre-expanded into flat knot/fraction arrays.  Every quantity here
+    depends only on *times* — the edge deltas join at evaluation time —
+    which is what makes it reusable across ports, segments and runs of
+    a synchronized sweep."""
 
     ks_w: np.ndarray                 # per sample: first edge in (t−W, ·]
     ks_h: np.ndarray                 # per sample: first edge in (t−H, ·]
-    decay: np.ndarray | None         # e^{−λ t_e} (E, S), prefix path
+    slow_edges: np.ndarray           # (chunks, slots): edge of each slot
+    slow_decay: np.ndarray           # (chunks, slots, S): e^{−λ(t_e−o_c)}
+    slow_w: np.ndarray               # per sample: prefix row at ks_w
+    slow_h: np.ndarray               # per sample: prefix row at ks_h
     win_sample: np.ndarray | None    # window pairs: local sample row
     win_idx: np.ndarray | None       # window pairs: table knot index
     win_frac: np.ndarray | None      # window pairs: x − knot·step
     win_active: np.ndarray | None    # edges with a non-empty range
     win_lengths: np.ndarray | None   # range length of each active edge
-    pw_sample: np.ndarray | None     # pairwise slow pairs: sample row
-    pw_phases: np.ndarray | None     # pairwise slow pairs: e^{λ x}
-    pw_active: np.ndarray | None
-    pw_lengths: np.ndarray | None
 
 
 def _expand_ranges(
@@ -438,11 +447,27 @@ class CompiledChipKernel:
             ) from None
         return list(nodes), rows
 
+    def _chunk_origins(self, times: np.ndarray) -> np.ndarray | None:
+        """Each sample's slow-tier chunk origin ``o_c`` (the grid cut at
+        multiples of ``_EXP_BUDGET / max|Re λ_slow|``), or ``None`` when
+        the whole grid is one chunk at origin 0."""
+        if (
+            times[0] >= 0.0
+            and self._slow_rate_max * float(times[-1]) <= _EXP_BUDGET
+        ):
+            return None
+        span = _EXP_BUDGET / self._slow_rate_max
+        return np.floor(times / span) * span
+
     def _phase_matrix(self, grid: SampleGrid) -> np.ndarray:
-        """``e^{λ_s t_m}`` (samples × lanes), built multiplicatively
-        from the grid's provenance when available."""
+        """``e^{λ_s (t_m − o_m)}`` (samples × lanes) with ``o_m`` the
+        sample's chunk origin; a one-chunk grid (origin 0) is built
+        multiplicatively from its provenance when available."""
         lam = self._lanes
         times = grid.times
+        origins = self._chunk_origins(times)
+        if origins is not None:
+            return np.exp((times - origins)[:, None] * lam[None, :])
         if not grid.has_provenance:
             return np.exp(times[:, None] * lam[None, :])
         base_step = grid.t_end / (grid.n_base - 1)
@@ -473,9 +498,10 @@ class CompiledChipKernel:
         et_key: bytes,
     ) -> "_TierIndex":
         """Content-memoized tier bookkeeping for one (sample grid, edge
-        train) pair: boundary indices and the expanded window-tier
-        (sample, elapsed-time) pairs.  Port-independent — every port
-        whose train shares the same edge instants reuses it."""
+        train) pair: boundary indices, the slow tier's chunked decay
+        factors and the expanded window-tier (sample, elapsed-time)
+        pairs.  Port-independent — every port whose train shares the
+        same edge instants reuses it."""
         key = (times_key, et_key)
         tiers = self._tier_cache.get(key)
         if tiers is None:
@@ -494,7 +520,41 @@ class CompiledChipKernel:
         t_h = times - self.horizon
         ks_w = np.searchsorted(et, t_w, side="left")
         ks_h = np.searchsorted(et, t_h, side="left")
-        prefix_ok = self._slow_rate_max * float(times[-1]) <= _EXP_BUDGET
+
+        # Slow tier: one chunk per run of equal origins.  A chunk's
+        # samples see edges ks_h[first sample] .. ks_w[last sample] − 1
+        # (both indices are monotone in t); a one-chunk grid sums from
+        # edge 0, the plain factorization.  Each chunk's edges fill one
+        # zero-padded row of slots, so a single cumsum along the slots
+        # builds every chunk's prefix sums.
+        origins = self._chunk_origins(times)
+        if origins is None:
+            starts = np.zeros(1, dtype=np.intp)
+            first = starts
+            chunk_origins = np.zeros(1)
+        else:
+            starts = np.concatenate(
+                [[0], np.flatnonzero(np.diff(origins)) + 1]
+            )
+            first = ks_h[starts]
+            chunk_origins = origins[starts]
+        sizes = np.diff(starts, append=times.size)
+        counts = ks_w[starts + sizes - 1] - first
+        slots = np.arange(int(counts.max()))
+        valid = slots < counts[:, None]
+        slow_edges = np.where(valid, first[:, None] + slots, 0)
+        slow_decay = np.zeros(valid.shape + self._lanes.shape, dtype=complex)
+        slow_decay[valid] = np.exp(np.outer(
+            et[slow_edges[valid]] - np.repeat(chunk_origins, counts),
+            -self._lanes,
+        ))
+        slow_w, slow_h = ks_w, ks_h
+        if origins is not None:
+            # Row of (chunk c, edge e) in the flattened prefix array.
+            base = np.repeat(
+                np.arange(starts.size) * (slots.size + 1) - first, sizes
+            )
+            slow_w, slow_h = base + ks_w, base + ks_h
 
         win_sample = win_idx = win_frac = win_active = win_lengths = None
         expanded = _expand_ranges(
@@ -509,26 +569,11 @@ class CompiledChipKernel:
                 (x / step).astype(np.intp), 0, self._n_knots - 2
             )
             win_frac = x - win_idx * step
-
-        decay = None
-        pw_sample = pw_phases = pw_active = pw_lengths = None
-        if prefix_ok:
-            decay = np.exp(np.outer(et, -self._lanes))
-        else:
-            expanded = _expand_ranges(
-                np.searchsorted(t_w, et, side="right"),
-                np.searchsorted(t_h, et, side="right"),
-            )
-            if expanded is not None:
-                pw_sample, pw_active, pw_lengths = expanded
-                x = times[pw_sample] - np.repeat(et[pw_active], pw_lengths)
-                pw_phases = np.exp(np.outer(x, self._lanes))
         return _TierIndex(
-            ks_w=ks_w, ks_h=ks_h, decay=decay,
+            ks_w=ks_w, ks_h=ks_h, slow_edges=slow_edges,
+            slow_decay=slow_decay, slow_w=slow_w, slow_h=slow_h,
             win_sample=win_sample, win_idx=win_idx, win_frac=win_frac,
             win_active=win_active, win_lengths=win_lengths,
-            pw_sample=pw_sample, pw_phases=pw_phases,
-            pw_active=pw_active, pw_lengths=pw_lengths,
         )
 
     def solve_batch(
@@ -632,7 +677,6 @@ class CompiledChipKernel:
         """One port's deviation block ``(samples × rows)`` for one
         merged edge train — the cacheable unit of the solve."""
         tiers = self._tiers_for(times, times_key, et, et_key)
-        n_lanes = self._lanes.size
 
         # DC and steady-state tiers: rank-one products of the Σδ
         # prefix differences against the per-port gain rows.
@@ -643,28 +687,23 @@ class CompiledChipKernel:
         )
         contrib += np.outer(d_at_h, self._dc[p, rows])
 
-        # Slow tier: prefix factorization when the exponents fit,
-        # pairwise evaluation otherwise.
+        # Slow tier: complex prefix sums of δ e^{−λ(t_e − o_c)} per
+        # chunk, differenced between each sample's tier bounds, times
+        # the re-based phases, then one GEMM against the modal
+        # coefficients.
+        n_chunks, n_slots, n_lanes = tiers.slow_decay.shape
+        p_prefix = np.zeros((n_chunks, n_slots + 1, n_lanes), dtype=complex)
+        np.cumsum(
+            deltas[tiers.slow_edges][:, :, None] * tiers.slow_decay,
+            axis=1, out=p_prefix[:, 1:],
+        )
+        p_prefix = p_prefix.reshape(-1, n_lanes)
+        phases = self._phases_for(grid, times_key)
         mgw_p = np.ascontiguousarray(self._mgw[p][:, rows])
-        if tiers.decay is not None:
-            phases = self._phases_for(grid, times_key)
-            p_prefix = np.concatenate([
-                np.zeros((1, n_lanes), dtype=complex),
-                np.cumsum(deltas[:, None] * tiers.decay, axis=0),
-            ])
-            contrib += np.real(
-                (phases * (p_prefix[tiers.ks_w] - p_prefix[tiers.ks_h]))
-                @ mgw_p
-            )
-        elif tiers.pw_sample is not None:
-            d_pair = np.repeat(deltas[tiers.pw_active], tiers.pw_lengths)
-            weighted = d_pair[:, None] * np.real(tiers.pw_phases @ mgw_p)
-            for j in range(rows.size):
-                contrib[:, j] += np.bincount(
-                    tiers.pw_sample,
-                    weights=weighted[:, j],
-                    minlength=times.size,
-                )
+        contrib += np.real(
+            (phases * (p_prefix[tiers.slow_w] - p_prefix[tiers.slow_h]))
+            @ mgw_p
+        )
 
         # Window tier: gather the packed (value | slope) table rows for
         # every (sample, edge) pair, interpolate, scatter-accumulate.

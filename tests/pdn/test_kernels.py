@@ -10,13 +10,18 @@ import pytest
 from repro.errors import SolverError
 from repro.pdn.kernels import (
     _CONTRIB_CACHE_ENTRIES,
+    _EXP_BUDGET,
     KERNEL_TOLERANCE_V,
     SampleGrid,
     clear_kernel_cache,
     compile_kernel,
     library_fingerprint,
 )
-from repro.pdn.superposition import EdgeTrain, assemble_voltage
+from repro.pdn.superposition import (
+    EdgeTrain,
+    assemble_voltage,
+    edges_from_square_wave,
+)
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +94,33 @@ class TestEquivalence:
         fast = kernel.evaluate([train], times, nodes=[node])[0]
         reference = assemble_voltage(library, node, [train], times)
         assert np.abs(fast - reference).max() < KERNEL_TOLERANCE_V
+
+    @pytest.mark.parametrize("start", [0.0, 1e-3])
+    def test_multi_chunk_isolated_edges(self, chip, library, kernel, start):
+        """A segment longer than one slow-tier chunk — the runner's
+        isolated-edge train, 12 events 60 µs apart — agrees with the
+        reference, sampled just before, on and just after every chunk
+        boundary; the shifted train puts its first edge 1 ms in."""
+        train = edges_from_square_wave(
+            chip.core_ports[0], delta_i=25.0, freq_hz=1.0 / 60e-6,
+            n_events=12, start=start,
+        )
+        t_end = float(train.times[-1]) + 60e-6
+        span = _EXP_BUDGET / kernel._slow_rate_max
+        cuts = np.arange(1, int(t_end / span) + 1) * span
+        times = np.unique(np.concatenate([
+            np.linspace(0.0, t_end, 2048),
+            (cuts[:, None] + np.array([-1e-9, 0.0, 1e-9])).ravel(),
+            (train.times[:, None] + np.geomspace(1e-9, 50e-6, 24)).ravel(),
+        ]))
+        times = times[times <= t_end]
+        tiers = kernel._build_tiers(times, train.times)
+        assert tiers.slow_decay.shape[0] > 1       # several chunks
+        nodes = chip.core_nodes
+        fast = kernel.evaluate([train], times, nodes=nodes)
+        for row, node in enumerate(nodes):
+            reference = assemble_voltage(library, node, [train], times)
+            assert np.abs(fast[row] - reference).max() < KERNEL_TOLERANCE_V
 
     def test_sample_grid_matches_raw_times(self, chip, kernel):
         train = square_train(chip.core_ports[1])
