@@ -114,11 +114,6 @@ class DidtStressmark:
         """ΔI of one event (A)."""
         return self.delta_power_w / self.vnom
 
-    @property
-    def achieved_duty(self) -> float:
-        """High-phase fraction of the achieved period."""
-        return self.spec.duty
-
     def current_program(self) -> CurrentProgram:
         """Compile to the electrical view the run engine consumes."""
         sync = None
@@ -204,8 +199,8 @@ class StressmarkBuilder:
         """Assemble the stressmark for *spec*."""
         high_reps, low_reps = self.phase_repetitions(spec)
         body = (
-            list(self.high_sequence) * min(high_reps, self.MATERIALIZE_CAP)
-            + list(self.low_sequence) * min(low_reps, self.MATERIALIZE_CAP)
+            self.high_sequence * min(high_reps, self.MATERIALIZE_CAP)
+            + self.low_sequence * min(low_reps, self.MATERIALIZE_CAP)
         )
         program = build_sequence_loop(
             self.target.isa,

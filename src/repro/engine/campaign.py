@@ -30,6 +30,7 @@ analogue of the disk cache's corruption quarantine.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -271,25 +272,24 @@ class CampaignManifest:
     ) -> Iterator[None]:
         """Exclusive-writer guard for the manifest path.
 
-        Creates ``<manifest>.lock`` with ``O_CREAT | O_EXCL`` (atomic
-        on POSIX and NFS-safe enough for shard workers on one host).
-        Contention with a *live* writer is retried under *retry*
-        (default :data:`LOCK_RETRY`) with deterministic jitter derived
-        from ``(jitter_key or pid, attempt)`` — polite multi-worker
-        claiming instead of an instant refusal — and only a writer
-        that stays locked through the whole budget gets
+        Holds an exclusive ``flock`` on ``<manifest>.lock`` and records
+        this writer's ``pid:nonce`` token in it.  Contention with a
+        *live* writer is retried under *retry* (default
+        :data:`LOCK_RETRY`) with deterministic jitter derived from
+        ``(jitter_key or pid, attempt)`` — polite multi-worker claiming
+        instead of an instant refusal — and only a writer that stays
+        locked through the whole budget gets
         :class:`~repro.errors.ConcurrencyError`.  ``retry=None``
         restores the fail-fast behavior.
 
-        A lock left behind by a dead process is *broken via atomic
-        rename*: every would-be breaker renames the stale lockfile
-        aside to a per-pid name, so exactly one breaker wins the inode
-        even when several observe the dead holder simultaneously (the
-        unlink-and-recreate race this replaces let two processes both
-        "acquire").  Acquisition is additionally re-verified — the
-        lockfile must still hold this writer's unique token after the
-        create — so a raced acquisition is detected and retried rather
-        than silently shared.
+        The kernel drops a dead holder's ``flock``, so a lockfile left
+        behind by a dead process is no obstacle: the next writer locks
+        it and overwrites the stale token.  Liveness is never guessed
+        from a recorded pid, so no live owner's lock can be taken over
+        and a reused pid cannot keep a stale lock alive.  Release
+        unlinks the lockfile *before* unlocking it; a waiter that then
+        wins the ``flock`` on the unlinked inode sees that it is no
+        longer the lock path and retries.
 
         The lock is reentrant within the owning thread: nested
         ``writer_lock()`` blocks on the same instance (e.g. a
@@ -310,7 +310,7 @@ class CampaignManifest:
         spins = 0
         while True:
             try:
-                acquired = self._try_acquire(token)
+                fd = self._try_acquire(token)
             except ConcurrencyError:
                 attempts += 1
                 if policy is None or attempts > policy.max_retries:
@@ -320,7 +320,7 @@ class CampaignManifest:
                     * _lock_jitter(jitter_key, attempts)
                 )
                 continue
-            if acquired:
+            if fd is not None:
                 break
             spins += 1
             if spins > 50:  # pragma: no cover - pathological churn
@@ -338,70 +338,39 @@ class CampaignManifest:
                 os.unlink(self.lock_path)
             except OSError:  # pragma: no cover - already removed
                 pass
+            fcntl.flock(fd, fcntl.LOCK_UN)
+            os.close(fd)
 
-    def _try_acquire(self, token: str) -> bool:
-        """One acquisition attempt.  Returns True when this writer now
-        owns the lock, False when the attempt should be repeated (a
-        stale lock was broken, or a race was detected), and raises
+    def _try_acquire(self, token: str) -> int | None:
+        """One acquisition attempt.  Returns the locked descriptor when
+        this writer now owns the lock, ``None`` when the attempt should
+        be repeated (the previous owner released the lockfile between
+        our open and our ``flock``), and raises
         :class:`~repro.errors.ConcurrencyError` on a live holder."""
+        fd = os.open(self.lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+        owned = False
         try:
-            fd = os.open(self.lock_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
-        except FileExistsError:
-            observed = self._lock_token()
-            if observed is None:
-                # Vanished or unreadable mid-break: retry the create.
-                return False
-            holder = _token_pid(observed)
-            if holder is not None and self._alive(holder):
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
                 raise ConcurrencyError(
                     f"manifest {self.path} is locked by live writer "
-                    f"pid {holder}; two shard processes must not "
-                    f"share one manifest path"
-                )
-            self._break_stale(observed)
-            return False
-        with os.fdopen(fd, "w") as handle:
-            handle.write(token)
-        # Re-verify ownership: a breaker that observed the *previous*
-        # dead holder may have renamed our fresh lock away in the
-        # window between its staleness check and its rename.  Owning
-        # means the file still carries our token.
-        return self._lock_token() == token
-
-    def _break_stale(self, observed: str) -> None:
-        """Break the stale lock whose content is *observed*, via atomic
-        rename so exactly one of several simultaneous breakers wins."""
-        trash = self.lock_path.with_name(
-            f"{self.lock_path.name}.break-{os.getpid()}"
-        )
-        try:
-            os.replace(self.lock_path, trash)
-        except OSError:
-            return  # another breaker won the rename
-        try:
-            stolen = trash.read_text()
-        except OSError:
-            stolen = None
-        try:
-            trash.unlink()
-        except OSError:  # pragma: no cover - cleanup is best effort
-            pass
-        if stolen is not None and stolen != observed:
-            # We renamed a lock that was re-created by someone else
-            # between our staleness read and our rename.  If its owner
-            # is alive, restore it (best effort — the owner's own
-            # re-verification catches the remaining window).
-            pid = _token_pid(stolen)
-            if pid is not None and self._alive(pid):
-                try:
-                    fd = os.open(
-                        self.lock_path,
-                        os.O_WRONLY | os.O_CREAT | os.O_EXCL,
-                    )
-                    with os.fdopen(fd, "w") as handle:
-                        handle.write(stolen)
-                except OSError:  # somebody already re-created it
-                    pass
+                    f"pid {self._lock_holder()}; two shard processes "
+                    f"must not share one manifest path"
+                ) from None
+            try:
+                current = os.stat(self.lock_path)
+            except FileNotFoundError:
+                return None
+            if not os.path.samestat(current, os.fstat(fd)):
+                return None
+            os.ftruncate(fd, 0)
+            os.pwrite(fd, token.encode(), 0)
+            owned = True
+            return fd
+        finally:
+            if not owned:
+                os.close(fd)  # also drops a flock we took
 
     def _lock_token(self) -> str | None:
         try:
@@ -411,18 +380,6 @@ class CampaignManifest:
 
     def _lock_holder(self) -> int | None:
         return _token_pid(self._lock_token())
-
-    @staticmethod
-    def _alive(pid: int) -> bool:
-        if pid <= 0:
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except (OSError, PermissionError):  # exists, not ours
-            return True
-        return True
 
     # -- lease-based claiming (fleet) ------------------------------------
     def claim_batch(

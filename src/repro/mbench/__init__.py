@@ -5,11 +5,13 @@ Microprobe micro-benchmark generator, configured through target
 definition files.  This package plays that role for the synthetic
 platform:
 
-* :mod:`.program` — a small IR: operand-materialized instruction
-  instances inside an endless (or counted) loop;
+* :mod:`.program` — a small IR: the instruction definitions of an
+  endless (or counted) loop.  Measurement reads only the definitions;
+  operands are rendered, with register rotation to avoid dependences,
+  only when the assembly is;
 * :mod:`.loops` — loop builders, including the EPI skeleton (4000
   dependence-free repetitions of one instruction) and arbitrary
-  sequence loops with register rotation to avoid dependences;
+  sequence loops;
 * :mod:`.codegen` — synthetic assembly emission, so generated
   benchmarks are inspectable artifacts, as they are in the paper's
   flow;

@@ -55,7 +55,7 @@ def read_counters(
     rng = stream(seed, "counters", program.name)
     noise = 1.0 + float(rng.normal(0.0, jitter)) if jitter > 0 else 1.0
     cycles = max(int(iterations * profile.cycles * noise), 1)
-    instructions = int(iterations * len(program.loop_body))
+    instructions = int(iterations * len(program.loop_definitions))
     uops = int(iterations * profile.uops)
     return CounterReading(
         cycles=cycles,

@@ -8,9 +8,6 @@ ways:
 * exactly, via a state-space/modal decomposition (:mod:`.state_space`),
   which powers fast step-response evaluation and frequency-domain
   impedance profiles;
-* by a trapezoidal modified-nodal-analysis transient engine
-  (:mod:`.mna`), kept as an independent reference solver and
-  cross-checked against the modal solution in the test suite;
 * by linear superposition of precomputed step/ramp responses
   (:mod:`.superposition`), which is how full multi-core stressmark
   runs are assembled efficiently;
@@ -18,6 +15,11 @@ ways:
   factor that same superposition into modal prefix sums so N stimuli
   against one chip amortize to a single stacked solve — the engine's
   ``batched`` backend.
+
+A trapezoidal modified-nodal-analysis transient engine
+(:mod:`.mna`) is the independent oracle the test suite and the solver
+benchmarks check the modal solution against.  It needs scipy, so it is
+not imported here: import it as ``repro.pdn.mna``.
 
 :mod:`.topology` builds the multi-core chip network of the paper's
 evaluation platform (two on-chip voltage domains, six cores, the large
@@ -29,7 +31,6 @@ the paper's resonant bands (~40 kHz and ~2 MHz) and cluster structure.
 from .elements import Capacitor, CurrentPort, Inductor, Resistor, VoltagePort
 from .netlist import Netlist
 from .state_space import StateSpace, build_state_space
-from .mna import TransientResult, simulate_transient
 from .impedance import ImpedanceProfile, impedance_profile, find_resonances
 from .response import ResponseLibrary
 from .superposition import EdgeTrain, assemble_voltage, edges_from_square_wave
@@ -53,8 +54,6 @@ __all__ = [
     "Netlist",
     "StateSpace",
     "build_state_space",
-    "TransientResult",
-    "simulate_transient",
     "ImpedanceProfile",
     "impedance_profile",
     "find_resonances",

@@ -16,10 +16,8 @@ the solvers rely on:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Iterable
-
-import networkx as nx
 
 from ..errors import NetlistError
 from .elements import (
@@ -145,26 +143,6 @@ class Netlist:
         for vport in self.voltage_ports:
             yield vport.node
 
-    def graph(self) -> "nx.Graph":
-        """Undirected connectivity graph over nodes (including ground).
-
-        Capacitors connect their node to ground; resistors and inductors
-        connect their endpoints.
-        """
-        g = nx.Graph()
-        g.add_node(GROUND)
-        for res in self.resistors:
-            g.add_edge(res.a, res.b)
-        for ind in self.inductors:
-            g.add_edge(ind.a, ind.b)
-        for cap in self.capacitors:
-            g.add_edge(cap.node, GROUND)
-        for cport in self.current_ports:
-            g.add_node(cport.node)
-        for vport in self.voltage_ports:
-            g.add_node(vport.node)
-        return g
-
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
@@ -216,8 +194,20 @@ class Netlist:
     def _check_connectivity(self) -> None:
         if not self.nodes:
             raise NetlistError("netlist has no nodes")
-        g = self.graph()
-        reachable = nx.node_connected_component(g, GROUND)
+        # Capacitors connect their node to ground; resistors and
+        # inductors connect their endpoints.
+        neighbours: dict[str, set[str]] = defaultdict(set)
+        branches = [(e.a, e.b) for e in (*self.resistors, *self.inductors)]
+        branches += [(cap.node, GROUND) for cap in self.capacitors]
+        for a, b in branches:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+        reachable = {GROUND}
+        frontier = [GROUND]
+        while frontier:
+            for node in neighbours[frontier.pop()] - reachable:
+                reachable.add(node)
+                frontier.append(node)
         unreachable = sorted(set(self.nodes) - reachable)
         if unreachable:
             raise NetlistError(f"nodes not connected to ground: {unreachable}")

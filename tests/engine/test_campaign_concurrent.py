@@ -20,6 +20,7 @@ import json
 import multiprocessing
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -27,6 +28,8 @@ from repro.engine import CampaignManifest
 from repro.errors import ConcurrencyError
 
 PROCS = 4
+#: Wall-clock budget of one hammer; workers still running are killed.
+WORKER_TIMEOUT_S = 120.0
 
 
 def _until_locked(operation):
@@ -92,6 +95,10 @@ def _counter_worker(path: str, barrier, counter: str, rounds: int) -> None:
 
 
 def _run(target, argslist):
+    """Run one worker process per *argslist* entry behind a start
+    barrier.  Workers still running after :data:`WORKER_TIMEOUT_S` (a
+    livelocked lock) are killed, so a regression fails this test instead of
+    hanging the interpreter's exit on non-daemon children."""
     barrier = multiprocessing.Barrier(len(argslist))
     procs = [
         multiprocessing.Process(target=target, args=(args[0], barrier, *args[1:]))
@@ -99,8 +106,16 @@ def _run(target, argslist):
     ]
     for proc in procs:
         proc.start()
+    deadline = time.monotonic() + WORKER_TIMEOUT_S
     for proc in procs:
-        proc.join(timeout=120)
+        proc.join(timeout=max(0.0, deadline - time.monotonic()))
+    hung = [proc for proc in procs if proc.is_alive()]
+    for proc in hung:
+        proc.kill()
+        proc.join()
+    assert not hung, (
+        f"{len(hung)} worker(s) still running after {WORKER_TIMEOUT_S} s"
+    )
     assert all(proc.exitcode == 0 for proc in procs)
 
 

@@ -1,5 +1,8 @@
 """Program IR, assembly emission and target binding tests."""
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.errors import GenerationError
@@ -27,12 +30,28 @@ class TestInstructionInstance:
 
 class TestProgram:
     def test_empty_loop_rejected(self):
-        with pytest.raises(GenerationError):
-            Program(name="x", loop_body=[])
+        for loop in ({"loop_body": []}, {"loop_definitions": ()}, {}):
+            with pytest.raises(GenerationError):
+                Program(name="x", **loop)
 
     def test_size_counts_prologue(self, isa):
         program = build_sequence_loop(isa, (isa["CIB"],), unroll=2)
         assert program.size == len(program.loop_body)
+
+    def test_explicit_loop_body_kept(self, isa):
+        body = [InstructionInstance(isa["CIB"], ("r1", "7", "loop"))]
+        program = Program(name="x", loop_body=body)
+        assert program.loop_body == body
+        assert program.loop_definitions == (isa["CIB"],)
+
+    @pytest.mark.parametrize("rendered", [False, True])
+    def test_pickles(self, isa, rendered):
+        program = build_epi_loop(isa, isa["STG"], repetitions=20)
+        if rendered:
+            program.loop_body
+        copy = pickle.loads(pickle.dumps(program))
+        assert copy.loop_definitions == program.loop_definitions
+        assert emit_assembly(copy) == emit_assembly(program)
 
 
 class TestCodegen:
@@ -55,6 +74,34 @@ class TestCodegen:
         program = build_epi_loop(isa, isa["CIB"], repetitions=100)
         text = emit_assembly(program)
         assert text.count("CIB") >= 100
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedAssembly:
+    """Emitted assembly, operand renderings included, pinned byte for
+    byte."""
+
+    def test_epi_loop(self, isa):
+        program = build_epi_loop(isa, isa["CIB"], repetitions=100)
+        assert _sha256(emit_assembly(program)) == (
+            "b0137d682311313247f56d950f82e53657924188a9a12c2bf0cae13f76392f5b"
+        )
+
+    def test_sequence_loop_with_trip_count(self, isa):
+        program = build_sequence_loop(
+            isa, (isa["CIB"], isa["CHHSI"], isa["STG"]), unroll=3, trip_count=1000
+        )
+        assert _sha256(emit_assembly(program)) == (
+            "b940bbe43d846e530ea197206e2a673fa95897f0414c6995d50b11df85125a5c"
+        )
+
+    def test_max_stressmark(self, max_stressmark):
+        assert _sha256(max_stressmark.assembly()) == (
+            "c73033b7ef3c0c7f9126fc407062bb70fed268adda57dedb6a1df16d45e2416f"
+        )
 
 
 class TestTarget:

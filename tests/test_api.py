@@ -1,5 +1,10 @@
 """Top-level package API surface tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -52,6 +57,24 @@ class TestPublicApi:
         import repro.pdn
         import repro.uarch
         import repro.workloads
+
+    def test_cli_import_leaves_heavy_dependencies_unloaded(self):
+        """scipy backs only the MNA test oracle and networkx nothing, so
+        starting the CLI must load neither."""
+        src = Path(repro.__file__).resolve().parents[1]
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "print(sorted({'scipy', 'networkx'} & set(sys.modules)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_subpackage_alls_resolve(self):
         import repro.analysis as analysis
