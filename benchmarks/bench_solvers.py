@@ -2,10 +2,11 @@
 
 The exact modal engine and the trapezoidal MNA engine must tell the
 same story about the chip's step response — and the modal path is the
-one fast enough to power the experiment suite.  The precompiled batched
-chip kernel must in turn reproduce the modal runner's waveforms within
-its pinned tolerance, while amortizing a one-time compile across a
-whole sweep of runs.
+one fast enough to power the experiment suite.  The compiled chip
+kernel, the only solver production runs use, must in turn reproduce
+per-edge superposition (its oracle) within its pinned tolerance on the
+same stimulus, and exported figures must not change at all when the
+oracle solves them instead.
 """
 
 import time
@@ -13,13 +14,35 @@ import time
 import numpy as np
 
 from repro.machine.chip import reference_chip
-from repro.machine.runner import ChipRunner, RunOptions
+from repro.machine.runner import ChipRunner, RunOptions, WAVEFORM_EXTRA_NODES
 from repro.machine.workload import CurrentProgram, SyncSpec
 from repro.pdn.kernels import KERNEL_TOLERANCE_V, compile_kernel
 from repro.pdn.mna import simulate_transient
 from repro.pdn.state_space import ModalSystem, build_state_space
+from repro.pdn.superposition import assemble_voltage
 from repro.pdn.topology import build_chip_netlist
 from repro.pdn.zec12 import reference_chip_parameters
+
+
+def _oracle_solve(runner, batch, nodes):
+    """``ChipRunner._solve`` by per-edge superposition."""
+    library = runner.chip.response_library
+    return [
+        [
+            assemble_voltage(library, node, seg.trains, seg.times)
+            for node in nodes
+        ]
+        for seg in batch.segments
+    ]
+
+
+def _oracle_solve_extra(runner, segment):
+    """``ChipRunner._solve_extra`` by per-edge superposition."""
+    library = runner.chip.response_library
+    return [
+        assemble_voltage(library, node, segment.trains, segment.times)
+        for node in WAVEFORM_EXTRA_NODES
+    ]
 
 
 def _cross_validate():
@@ -69,38 +92,82 @@ def _kernel_cross_validate():
     chip = reference_chip()
     runner = ChipRunner(chip)
     options = RunOptions(segments=4, base_samples=1536, collect_waveforms=True)
-    mappings = [[_didt(freq)] * 6 for freq in (1.3e6, 2.6e6, 5.2e6, 10.4e6)]
-    tags = [f"bench{i}" for i in range(len(mappings))]
+    batches = [
+        runner.build_stimulus([_didt(freq)] * 6, options, f"bench{i}")
+        for i, freq in enumerate((1.3e6, 2.6e6, 5.2e6, 10.4e6))
+    ]
 
     t0 = time.perf_counter()
-    reference = [
-        runner.run(mapping, options, tag)
-        for mapping, tag in zip(mappings, tags)
-    ]
+    reference = []
+    for batch in batches:
+        deviations = _oracle_solve(runner, batch, chip.core_nodes)
+        extra = _oracle_solve_extra(runner, batch.segments[0])
+        reference.append(deviations[0] + extra)
     t_reference = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    kernel = compile_kernel(chip.response_library)
+    compile_kernel(chip.response_library)
     t_compile = time.perf_counter() - t0
     t0 = time.perf_counter()
-    batched = runner.run_batch(mappings, options, run_tags=tags, kernel=kernel)
-    t_batched = time.perf_counter() - t0
+    kernel_runs = [runner.execute(batch) for batch in batches]
+    t_kernel = time.perf_counter() - t0
 
     worst = 0.0
-    for ref, fast in zip(reference, batched):
-        for node, (_, v_ref) in ref.waveforms.items():
+    for batch, rows, fast in zip(batches, reference, kernel_runs):
+        nodes = chip.core_nodes + list(WAVEFORM_EXTRA_NODES)
+        for node, deviation in zip(nodes, rows):
+            v_ref = batch.dc_levels[node] + deviation
             worst = max(worst, np.abs(fast.waveforms[node][1] - v_ref).max())
-    return worst, t_reference, t_compile, t_batched
+    return worst, t_reference, t_compile, t_kernel
 
 
 def test_batched_kernel_agreement(benchmark):
-    """The compiled-kernel fast path vs the per-run reference solve:
-    waveforms agree within the kernel's pinned tolerance."""
-    worst, t_reference, t_compile, t_batched = benchmark.pedantic(
+    """The compiled kernel vs the superposition oracle over the same
+    stimulus: waveforms agree within the kernel's pinned tolerance."""
+    worst, t_reference, t_compile, t_kernel = benchmark.pedantic(
         _kernel_cross_validate, rounds=1, iterations=1
     )
-    print(f"\nworst |dv| kernel vs reference: {worst:.3e} V "
+    print(f"\nworst |dv| kernel vs oracle: {worst:.3e} V "
           f"(budget {KERNEL_TOLERANCE_V:.0e} V)")
-    print(f"reference solve {t_reference*1e3:.0f} ms, kernel compile "
-          f"{t_compile*1e3:.0f} ms, batched solve {t_batched*1e3:.0f} ms")
+    print(f"oracle solve {t_reference*1e3:.0f} ms, kernel compile "
+          f"{t_compile*1e3:.0f} ms, kernel runs {t_kernel*1e3:.0f} ms")
     assert worst < KERNEL_TOLERANCE_V
+
+
+def test_exports_match_the_oracle(tmp_path, monkeypatch):
+    """Quick Fig. 7a + Fig. 11a exported twice — solved by the kernel,
+    then with the runner's solve phase swapped for the superposition
+    oracle — are byte-identical.  Separate cache directories keep the
+    second export from replaying the first."""
+    from repro.cli import main
+    from repro.engine import configure_cache
+
+    figures = ("fig7a", "fig11a")
+
+    def export(name):
+        out = tmp_path / name
+        argv = ["--quick", "--cache-dir", str(tmp_path / f"cache-{name}"),
+                "run", *figures, "--output", str(out)]
+        assert main(argv) == 0
+        return out
+
+    oracle_calls = []
+
+    def oracle_solve(runner, batch, nodes):
+        oracle_calls.append(batch.run_tag)
+        return _oracle_solve(runner, batch, nodes)
+
+    try:
+        kernel = export("kernel")
+        monkeypatch.setattr(ChipRunner, "_solve", oracle_solve)
+        monkeypatch.setattr(ChipRunner, "_solve_extra", _oracle_solve_extra)
+        oracle = export("oracle")
+    finally:
+        configure_cache(cache_dir=None)
+    assert oracle_calls, "the oracle export replayed instead of solving"
+    for figure in figures:
+        for ext in ("json", "txt"):
+            name = f"{figure}.{ext}"
+            assert (oracle / name).read_bytes() == (
+                kernel / name
+            ).read_bytes(), name

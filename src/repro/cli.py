@@ -58,13 +58,10 @@ cache directories with ``merge-shards`` and re-run unsharded to export
 bit-identical results.
 
 ``--quick`` swaps in the reduced-cost context (shorter EPI loops, fewer
-sweep points) for smoke runs.  The engine knobs: ``--jobs N`` /
+sweep points) for smoke runs.  Every run solves through the chip's
+precompiled kernel (:class:`~repro.pdn.kernels.CompiledChipKernel`);
+there is no solver switch.  The engine knobs: ``--jobs N`` /
 ``--executor process`` fan cache misses out over worker processes,
-``--backend batched`` routes every solve through the precompiled
-per-chip kernel (``reference`` keeps the per-run transient solver;
-the default ``auto`` compiles and falls back on failure — the choice
-never enters run fingerprints, so caches written under one backend
-replay under any other),
 ``--cache-dir DIR`` persists the result cache across invocations, and
 ``run --profile`` prints the engine telemetry (run counts, cache
 hits/misses, latency histograms, solver calls, per-experiment wall
@@ -136,17 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("serial", "process"),
         default=None,
         help="sweep execution backend (default: $REPRO_EXECUTOR or serial)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "reference", "batched"),
-        default=None,
-        help="solve path for every session: 'batched' dispatches runs "
-        "through the precompiled per-chip kernel, 'reference' keeps the "
-        "per-run transient solver, 'auto' compiles the kernel and falls "
-        "back to the reference path if compilation fails (default: "
-        "$REPRO_BACKEND or auto); never part of run fingerprints, so "
-        "caches stay interchangeable across backends",
     )
     parser.add_argument(
         "--cache-dir",
@@ -743,8 +729,6 @@ def _configure_engine(args: argparse.Namespace) -> None:
             args.executor = "process"
     if args.executor is not None:
         os.environ["REPRO_EXECUTOR"] = args.executor
-    if args.backend is not None:
-        os.environ["REPRO_BACKEND"] = args.backend
     if args.max_retries is not None:
         os.environ["REPRO_MAX_RETRIES"] = str(args.max_retries)
     if args.run_timeout is not None:
@@ -828,35 +812,21 @@ def _format_seconds(seconds: float) -> str:
     return f"{minutes}m{secs:02d}s"
 
 
-def _mean_run_seconds(
-    path: Path, backend: str = "auto"
-) -> tuple[float | None, int, str]:
+def _mean_run_seconds(path: Path) -> tuple[float | None, int, str]:
     """Per-run latency baseline from a ``telemetry.json`` snapshot:
-    the mean, sample count and histogram name used.  With an explicit
-    *backend*, that backend's per-run histogram
-    (``engine.run.<backend>.seconds``) is preferred — a reference-era
-    baseline would wildly overestimate a batched campaign and vice
-    versa — falling back to the aggregate ``engine.run.seconds``.
-    Returns ``(None, 0, name)`` when the file is missing, unreadable or
-    holds no samples."""
+    the mean, sample count and histogram name
+    (``engine.run.seconds``).  Returns ``(None, 0, name)`` when the
+    file is missing, unreadable or holds no samples."""
     import json
 
-    names = ["engine.run.seconds"]
-    if backend in ("reference", "batched"):
-        names.insert(0, f"engine.run.{backend}.seconds")
+    name = "engine.run.seconds"
     try:
-        snapshot = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None, 0, names[-1]
-    for name in names:
-        summary = snapshot.get("histograms", {}).get(name)
-        if not isinstance(summary, dict) or not summary.get("count"):
-            continue
-        try:
+        summary = json.loads(path.read_text()).get("histograms", {}).get(name)
+        if summary and summary.get("count"):
             return float(summary["mean"]), int(summary["count"]), name
-        except (KeyError, TypeError, ValueError):
-            continue
-    return None, 0, names[-1]
+    except (OSError, ValueError, AttributeError, KeyError, TypeError):
+        pass
+    return None, 0, name
 
 
 def _requested_ids(args: argparse.Namespace) -> list[str]:
@@ -966,11 +936,8 @@ def _run_plan(args: argparse.Namespace) -> int:
         campaign_dir = _campaign_dir(args)
         if campaign_dir is not None and (campaign_dir / "telemetry.json").exists():
             baseline = campaign_dir / "telemetry.json"
-    from .engine import resolve_backend_name
-
-    backend = resolve_backend_name(args.backend)
     mean_run_s, samples, source = (
-        _mean_run_seconds(baseline, backend)
+        _mean_run_seconds(baseline)
         if baseline is not None
         else (None, 0, "engine.run.seconds")
     )
@@ -1036,7 +1003,6 @@ def _run_shard(args: argparse.Namespace) -> int:
             or "raise",
             manifest=manifest,
             telemetry=telemetry,
-            backend=args.backend,
         )
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -1242,7 +1208,6 @@ def _run_family(args: argparse.Namespace) -> int:
                 or "raise",
                 manifest_for=manifest_for,
                 telemetry=telemetry,
-                backend=args.backend,
             )
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
@@ -1280,7 +1245,6 @@ def _run_family(args: argparse.Namespace) -> int:
             or os.environ.get("REPRO_ON_FAILURE")
             or "raise",
             telemetry=telemetry,
-            backend=args.backend,
         )
         print(
             f"executed {report.runs} run(s) across {len(campaign)} "
@@ -1439,8 +1403,6 @@ def _fleet_worker_command(args: argparse.Namespace) -> list[str]:
     command = [sys.executable, "-m", "repro"]
     if args.quick:
         command.append("--quick")
-    if args.backend is not None:
-        command += ["--backend", args.backend]
     if args.max_retries is not None:
         command += ["--max-retries", str(args.max_retries)]
     if args.run_timeout is not None:
@@ -1570,7 +1532,6 @@ def _run_fleet_worker(args: argparse.Namespace) -> int:
             heartbeat_s=args.heartbeat,
             poison_after=args.poison_after,
             serve=_parse_endpoint(args.serve) if args.serve else None,
-            backend=args.backend,
             telemetry=telemetry,
             live_path=(
                 workdir / LIVE_SIDECAR_NAME if args.flush_s > 0 else None
@@ -1655,7 +1616,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             hot_entries=args.hot_entries,
             max_batch=args.max_batch,
             telemetry=telemetry,
-            backend=args.backend,
             window_s=args.metrics_window,
             slo=slo_policy,
             chips=chips,

@@ -25,7 +25,7 @@ from .controllers import (
     IntegralPowerController,
     controller_from_spec,
 )
-from .loop import ClosedLoopRun, loop_summary
+from .loop import SOLVER_LABEL, ClosedLoopRun, loop_summary
 from .study import (
     CONTROL_RUN_TAG,
     attack_surface,
@@ -44,6 +44,7 @@ __all__ = [
     "controller_from_spec",
     "ClosedLoopRun",
     "loop_summary",
+    "SOLVER_LABEL",
     "CONTROL_RUN_TAG",
     "plan_control_experiment",
     "gain_sweep",

@@ -21,7 +21,13 @@ from ..measure.runit import RUnit
 from ..obs import Telemetry, get_telemetry
 from .api import Controller
 
-__all__ = ["ClosedLoopRun", "loop_summary"]
+__all__ = ["ClosedLoopRun", "loop_summary", "SOLVER_LABEL"]
+
+#: The ``"backend"`` value of every control summary and study export.
+#: It names no choice (the compiled kernel is the only solver); it is
+#: kept, with the kernel's established label, because the pinned
+#: ``ctrl-gain``/``ctrl-attack`` exports carry it.
+SOLVER_LABEL = "batched"
 
 
 def loop_summary(
@@ -129,5 +135,5 @@ class ClosedLoopRun:
             violation_windows=self.violation_windows,
         )
         summary["controller"] = self.controller.summary()
-        summary["backend"] = self.session.resolved_backend
+        summary["backend"] = SOLVER_LABEL
         return summary

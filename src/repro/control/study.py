@@ -28,7 +28,7 @@ from ..machine.workload import CurrentProgram
 from ..measure.runit import RUnit, RUnitConfig
 from ..plan.spec import RunPlan
 from .controllers import AdversarialUndervolter, IntegralPowerController
-from .loop import ClosedLoopRun
+from .loop import SOLVER_LABEL, ClosedLoopRun
 
 __all__ = [
     "CONTROL_RUN_TAG",
@@ -84,23 +84,6 @@ def results_identical(a: RunResult, b: RunResult) -> bool:
     )
 
 
-def _stepping_session(
-    chip: Chip,
-    mapping: list[CurrentProgram | None],
-    options: RunOptions | None,
-    windows_per_segment: int,
-    backend: str | None,
-) -> SteppingSession:
-    return SteppingSession(
-        chip,
-        mapping,
-        options,
-        run_tag=CONTROL_RUN_TAG,
-        windows_per_segment=windows_per_segment,
-        backend=backend,
-    )
-
-
 def gain_sweep(
     chip: Chip,
     mapping: list[CurrentProgram | None],
@@ -109,7 +92,6 @@ def gain_sweep(
     gains: tuple[float, ...] = DEFAULT_GAINS,
     setpoint: float = 0.85,
     windows_per_segment: int = 8,
-    backend: str | None = None,
     runit_config: RUnitConfig | None = None,
     baseline: RunResult | None = None,
     session: SimulationSession | None = None,
@@ -125,8 +107,12 @@ def gain_sweep(
     if baseline is None:
         session = session or SimulationSession(chip, options)
         baseline = session.run(mapping, run_tag=CONTROL_RUN_TAG)
-    stepping = _stepping_session(
-        chip, mapping, options, windows_per_segment, backend
+    stepping = SteppingSession(
+        chip,
+        mapping,
+        options,
+        run_tag=CONTROL_RUN_TAG,
+        windows_per_segment=windows_per_segment,
     )
     points = []
     for gain in gains:
@@ -152,7 +138,7 @@ def gain_sweep(
         "setpoint": float(setpoint),
         "windows_per_segment": int(windows_per_segment),
         "windows": stepping.n_windows,
-        "backend": stepping.resolved_backend,
+        "backend": SOLVER_LABEL,
         "baseline_worst_vmin": float(baseline.worst_vmin),
         "baseline_max_p2p": float(baseline.max_p2p),
         "stepping_equivalent": bool(equivalent),
@@ -168,7 +154,6 @@ def attack_surface(
     depths: tuple[int, ...] = DEFAULT_DEPTHS,
     durations: tuple[int, ...] = DEFAULT_DURATIONS,
     windows_per_segment: int = 8,
-    backend: str | None = None,
     runit_config: RUnitConfig | None = None,
     baseline: RunResult | None = None,
     session: SimulationSession | None = None,
@@ -186,8 +171,12 @@ def attack_surface(
     if baseline is None:
         session = session or SimulationSession(chip, options)
         baseline = session.run(mapping, run_tag=CONTROL_RUN_TAG)
-    stepping = _stepping_session(
-        chip, mapping, options, windows_per_segment, backend
+    stepping = SteppingSession(
+        chip,
+        mapping,
+        options,
+        run_tag=CONTROL_RUN_TAG,
+        windows_per_segment=windows_per_segment,
     )
     runit_config = runit_config or RUnitConfig()
 
@@ -247,7 +236,7 @@ def attack_surface(
         "run_tag": CONTROL_RUN_TAG,
         "windows_per_segment": int(windows_per_segment),
         "windows": stepping.n_windows,
-        "backend": stepping.resolved_backend,
+        "backend": SOLVER_LABEL,
         "stress_window": int(stress_window),
         "v_fail": float(runit_config.v_fail_frac * chip.vnom),
         "baseline_worst_vmin": float(baseline.worst_vmin),

@@ -31,7 +31,7 @@ from .resilience import (
     call_with_timeout,
     guarded_call,
 )
-from .session import BACKENDS, SimulationSession, resolve_backend_name
+from .session import SimulationSession
 from .stepping import Actuation, SteppingSession, WindowObservation
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "SteppingSession",
     "Actuation",
     "WindowObservation",
-    "BACKENDS",
-    "resolve_backend_name",
     "ResultCache",
     "global_cache",
     "configure_cache",

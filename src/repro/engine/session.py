@@ -14,8 +14,12 @@ runner:
   seed where applicable) addresses a shared two-tier
   :class:`ResultCache`, so identical configurations are solved once per
   campaign (and once per machine, with the disk tier);
+* **one solve path** — every run solves through the chip's
+  :class:`~repro.pdn.kernels.CompiledChipKernel`, compiled once per
+  chip before the first dispatch (a chip that does not compile raises
+  the kernel's :class:`~repro.errors.SolverError`);
 * **parallel fan-out** — :meth:`run_many` dispatches cache misses in
-  contiguous chunks over a process pool when a parallel backend is
+  contiguous chunks over a process pool when a parallel executor is
   selected (``--jobs``/``$REPRO_JOBS``), rebuilding the chip once per
   worker;
 * **fault isolation** — every run executes under a
@@ -42,22 +46,21 @@ suite and the CI fault-injection job prove all of the above.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import replace
 from typing import Sequence
 
-from ..errors import ConfigError, ExecutionError, SolverError
+from ..errors import ConfigError, ExecutionError
 from ..machine.chip import Chip, ChipConfig
 from ..machine.runner import ChipRunner, RunOptions, RunResult
 from ..machine.workload import CurrentProgram
 from ..obs import Telemetry, get_telemetry
 from .cache import ResultCache, global_cache
-from .executor import Executor, SerialExecutor, chunked, make_executor
+from .executor import Executor, make_executor
 from .fingerprint import canonical, chip_fingerprint, run_fingerprint
-from .resilience import GuardedOutcome, RetryPolicy, RunFailure
+from .resilience import RetryPolicy, RunFailure
 
-__all__ = ["SimulationSession", "BACKENDS", "resolve_backend_name"]
+__all__ = ["SimulationSession"]
 
 Mapping = Sequence[CurrentProgram | None]
 
@@ -65,31 +68,7 @@ Mapping = Sequence[CurrentProgram | None]
 #: return RunFailure records in the results.
 FAILURE_MODES = ("raise", "collect")
 
-#: Solve-path choices: ``auto`` compiles the chip's batched kernel and
-#: falls back to the reference superposition solver when compilation
-#: fails; the explicit names force one path.  The choice never enters
-#: run fingerprints — backend must not change the cache key.
-BACKENDS = ("auto", "reference", "batched")
-
-#: Contiguous runs per batched-dispatch unit: the cache-checkpoint
-#: granularity of the batched backend (each batch flushes its finished
-#: runs to the cache before the next batch starts).
-_BATCH_RUNS = 32
-
 _UNSET = object()
-
-
-def resolve_backend_name(backend: str | None) -> str:
-    """Normalize and validate a backend choice: explicit argument,
-    else ``$REPRO_BACKEND`` (the global ``--backend`` CLI flag exports
-    it), else ``auto``."""
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND", "").strip().lower() or "auto"
-    if backend not in BACKENDS:
-        raise ConfigError(
-            f"backend must be one of {BACKENDS} (got {backend!r})"
-        )
-    return backend
 
 
 class SimulationSession:
@@ -128,14 +107,6 @@ class SimulationSession:
         fault-injection job sets it).
     telemetry:
         Telemetry sink (process default when omitted).
-    backend:
-        Solve path: ``"auto"`` (default; ``$REPRO_BACKEND`` when set)
-        compiles the chip's batched kernel and falls back to the
-        reference solver if compilation fails, ``"reference"`` and
-        ``"batched"`` force one path (an explicit ``"batched"``
-        propagates the compile error).  The backend never enters run
-        fingerprints, so either path reads and writes the same cache
-        entries.
     """
 
     def __init__(
@@ -150,12 +121,9 @@ class SimulationSession:
         on_failure: str = "raise",
         faults: object = _UNSET,
         telemetry: Telemetry | None = None,
-        backend: str | None = None,
     ):
         self.chip = chip
         self.options = options or RunOptions()
-        self.backend = resolve_backend_name(backend)
-        self._resolved_backend: str | None = None
         self.cache = cache if cache is not None else global_cache()
         if isinstance(executor, (str, type(None))):
             executor = make_executor(executor, jobs)
@@ -197,39 +165,7 @@ class SimulationSession:
             on_failure=self.on_failure,
             faults=None,
             telemetry=self.telemetry,
-            backend=self.backend,
         )
-
-    # -- backend resolution ---------------------------------------------
-    def _resolve_backend(self) -> str:
-        """The concrete solve path (``"reference"`` or ``"batched"``)
-        this session executes with.
-
-        Lazy and resolved at most once: ``"auto"`` tries to compile the
-        chip's kernel (memoized per chip fingerprint, so a warm process
-        pays nothing) and falls back to the reference solver when
-        compilation fails its self-check; an explicit ``"batched"``
-        propagates the :class:`~repro.errors.SolverError` instead.
-        """
-        if self._resolved_backend is None:
-            if self.backend == "reference":
-                self._resolved_backend = "reference"
-            else:
-                try:
-                    with self.telemetry.time("engine.kernel.compile_seconds"):
-                        self.chip.compiled_kernel
-                    self._resolved_backend = "batched"
-                except SolverError as error:
-                    if self.backend == "batched":
-                        raise
-                    self.telemetry.increment("engine.kernel.fallbacks")
-                    self.telemetry.emit(
-                        "kernel.fallback",
-                        chip=self.chip.chip_id,
-                        error=f"{type(error).__name__}: {error}",
-                    )
-                    self._resolved_backend = "reference"
-        return self._resolved_backend
 
     # -- single runs ----------------------------------------------------
     def fingerprint(self, mapping: Mapping, run_tag: object = "run") -> str:
@@ -260,14 +196,11 @@ class SimulationSession:
     ) -> list[RunResult]:
         """Execute a batch of independent runs, in input order.
 
-        Cache hits are replayed; distinct misses are deduplicated and —
-        all addressed to this session's chip fingerprint — dispatched
-        as contiguous batches through the compiled kernel on the
-        batched backend, or fanned out over the session executor
-        (chunked, so each worker process rebuilds the chip once per
-        batch) otherwise.  Finished runs are checkpointed to the cache
-        as they complete, so an interrupted batch resumes from where it
-        died.
+        Cache hits are replayed; distinct misses are deduplicated and
+        fanned out over the session executor (chunked, so each worker
+        process rebuilds the chip once per batch).  Finished runs are
+        checkpointed to the cache as they complete, so an interrupted
+        batch resumes from where it died.
         """
         mappings = [list(m) for m in mappings]
         if tags is None:
@@ -328,15 +261,16 @@ class SimulationSession:
         """
         keys = [key for key, _, _ in work]
         labels = [tag for _, _, tag in work]
-        backend = self._resolve_backend()
-        run_fn = _RunItem(
-            self.chip.config, self.chip.chip_id, self.options, backend
-        )
+        telemetry = self.telemetry
+        # Compile before dispatch, so no run's latency carries the
+        # compile and a forked pool inherits the compiled kernel.
+        with telemetry.time("engine.kernel.compile_seconds"):
+            self.chip.compiled_kernel
+        run_fn = _RunItem(self.chip.config, self.chip.chip_id, self.options)
         # Pre-seed the worker-chip memo so in-process execution (the
-        # serial backend, or a degraded pool) reuses this session's
+        # serial executor, or a degraded pool) reuses this session's
         # already-built chip instead of re-deriving the modal model.
         _WORKER_CHIPS.setdefault(run_fn.chip_key, self.chip)
-        telemetry = self.telemetry
 
         def flush(index: int, outcome) -> None:
             # Fires per run as its chunk completes, so the disk-cache
@@ -346,9 +280,6 @@ class SimulationSession:
             if outcome.ok:
                 self.cache.put(keys[index], outcome.value)
             telemetry.observe("engine.run.seconds", outcome.duration_s)
-            telemetry.observe(
-                f"engine.run.{backend}.seconds", outcome.duration_s
-            )
             telemetry.observe("engine.run.attempts", outcome.attempts)
             if outcome.attempts > 1:
                 telemetry.emit(
@@ -382,21 +313,15 @@ class SimulationSession:
             telemetry.emit("run.started", run=tag, fingerprint=key)
         with telemetry.span("session.execute", runs=len(work)):
             with telemetry.time("engine.run_seconds"):
-                if self._batch_dispatch_eligible(backend, len(work)):
-                    outcomes = self._dispatch_batched(work, run_fn, flush)
-                else:
-                    outcomes = self.executor.map_guarded(
-                        run_fn,
-                        [
-                            (key, list(mapping), tag)
-                            for key, mapping, tag in work
-                        ],
-                        self.retry,
-                        labels=labels,
-                        fingerprints=keys,
-                        on_result=flush,
-                        telemetry=telemetry,
-                    )
+                outcomes = self.executor.map_guarded(
+                    run_fn,
+                    [(key, list(mapping), tag) for key, mapping, tag in work],
+                    self.retry,
+                    labels=labels,
+                    fingerprints=keys,
+                    on_result=flush,
+                    telemetry=telemetry,
+                )
 
         retries = sum(outcome.attempts - 1 for outcome in outcomes)
         if retries:
@@ -418,102 +343,6 @@ class SimulationSession:
                 raise error from first.exception
         return [o.value if o.ok else o.failure for o in outcomes]
 
-    def _batch_dispatch_eligible(self, backend: str, n_runs: int) -> bool:
-        """Batched dispatch applies to multi-run miss sets on the
-        batched backend under plain in-process execution.  Wrapped
-        executors (fault injection) and process pools keep the per-run
-        guarded path — pools already amortize kernel build per worker,
-        and fault plans target the executor boundary."""
-        return (
-            backend == "batched"
-            and n_runs > 1
-            and type(self.executor) is SerialExecutor
-        )
-
-    def _dispatch_batched(
-        self,
-        work: list[tuple[str, Mapping, object]],
-        run_fn: "_RunItem",
-        flush,
-    ) -> list[GuardedOutcome]:
-        """Dispatch cache misses as contiguous batches through the
-        chip's compiled kernel — grouped by the chip fingerprint every
-        run of this session shares — instead of run-at-a-time guarded
-        calls.
-
-        Per-run semantics are preserved relative to the guarded path:
-
-        * **cache checkpoints** — each batch flushes every finished run
-          to the cache before the next batch starts (granularity ≤
-          ``_BATCH_RUNS`` runs, incremental within the miss set);
-        * **retry semantics** — a batch that raises degrades to the
-          per-run guarded path (full retry policy, structured
-          failures) for exactly its runs;
-        * **telemetry** — per-run completion events and latency
-          histograms fire as usual, plus one ``session.batch`` event
-          per batch.
-        """
-        kernel = self.chip.compiled_kernel
-        telemetry = self.telemetry
-        outcomes: list[GuardedOutcome | None] = [None] * len(work)
-        n_batches = -(-len(work) // _BATCH_RUNS)
-        for batch in chunked(list(enumerate(work)), n_batches):
-            indices = [index for index, _ in batch]
-            mappings = [list(mapping) for _, (_, mapping, _) in batch]
-            tags = [tag for _, (_, _, tag) in batch]
-            start = time.perf_counter()
-            try:
-                batch_results = self.runner.run_batch(
-                    mappings, self.options, run_tags=tags, kernel=kernel
-                )
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as error:
-                telemetry.increment("engine.batch.degraded")
-                telemetry.emit(
-                    "session.batch.degraded",
-                    runs=len(batch),
-                    error=f"{type(error).__name__}: {error}",
-                )
-                guarded = self.executor.map_guarded(
-                    run_fn,
-                    [
-                        (key, list(mapping), tag)
-                        for _, (key, mapping, tag) in batch
-                    ],
-                    self.retry,
-                    labels=tags,
-                    fingerprints=[key for _, (key, _, _) in batch],
-                    on_result=lambda j, outcome: flush(indices[j], outcome),
-                    telemetry=telemetry,
-                )
-                for index, outcome in zip(indices, guarded):
-                    outcomes[index] = outcome
-                continue
-            duration = time.perf_counter() - start
-            per_run = duration / len(batch)
-            telemetry.emit(
-                "session.batch",
-                runs=len(batch),
-                chip=self._chip_fp[:12],
-                dur_s=round(duration, 6),
-                backend="batched",
-            )
-            for index, result in zip(indices, batch_results):
-                # Same per-run solver accounting as the guarded path,
-                # so batched and per-run dispatch report identical
-                # counters (worker-telemetry parity).
-                telemetry.increment("engine.solver.invocations")
-                telemetry.observe("engine.solver.seconds", per_run)
-                outcome = GuardedOutcome(
-                    value=result,
-                    duration_s=per_run,
-                    worker=os.getpid(),
-                )
-                outcomes[index] = outcome
-                flush(index, outcome)
-        return outcomes  # type: ignore[return-value]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"SimulationSession(chip={self.chip!r}, "
@@ -534,17 +363,10 @@ class _RunItem:
     process (memoized by chip identity, computed without constructing
     a probe chip)."""
 
-    def __init__(
-        self,
-        config: ChipConfig,
-        chip_id: int,
-        options: RunOptions,
-        backend: str = "reference",
-    ):
+    def __init__(self, config: ChipConfig, chip_id: int, options: RunOptions):
         self.config = config
         self.chip_id = chip_id
         self.options = options
-        self.backend = backend
         self.chip_key = canonical((Chip.__name__, config, chip_id))
 
     def __call__(self, item: tuple[str, list, object]) -> RunResult:
@@ -559,13 +381,9 @@ class _RunItem:
             with telemetry.time("engine.worker.chip_build_seconds"):
                 chip = Chip(self.config, self.chip_id)
             _WORKER_CHIPS[self.chip_key] = chip
-        # The compiled kernel is memoized per chip fingerprint, so a
-        # pool worker compiles once per chip and reuses it across every
-        # run and batch it executes.
-        kernel = chip.compiled_kernel if self.backend == "batched" else None
         telemetry.increment("engine.solver.invocations")
         start = time.perf_counter()
-        result = ChipRunner(chip).run(mapping, self.options, tag, kernel=kernel)
+        result = ChipRunner(chip).run(mapping, self.options, tag)
         telemetry.observe(
             "engine.solver.seconds", time.perf_counter() - start
         )

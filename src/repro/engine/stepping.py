@@ -13,9 +13,8 @@ controller (:mod:`repro.control`) runs.
 **Exact continuation invariant.**  Stepping is not an approximation:
 the windowed solve carries the full LTI state between steps (see
 :class:`~repro.pdn.kernels.SteppingSolver`), so stitching the emitted
-windows back together is *bit-identical* to the monolithic solve, on
-both the ``reference`` and ``batched`` backends — and
-:meth:`SteppingSession.result` reproduces
+windows back together is *bit-identical* to the monolithic kernel
+solve — and :meth:`SteppingSession.result` reproduces
 :meth:`ChipRunner.execute <repro.machine.runner.ChipRunner.execute>`
 byte for byte (measurements, waveforms, exports) when no actuation was
 applied.  Both facts are pinned at tolerance **zero** by the control
@@ -45,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, ControlError, ExecutionError, SolverError
+from ..errors import ConfigError, ControlError, ExecutionError
 from ..machine.chip import Chip
 from ..machine.runner import (
     ChipRunner,
@@ -58,9 +57,8 @@ from ..machine.system import ServiceElement, VOLTAGE_STEP
 from ..machine.workload import CurrentProgram
 from ..obs import Telemetry, get_telemetry
 from ..pdn.kernels import SteppingSolver
-from ..pdn.superposition import EdgeTrain, assemble_voltage
+from ..pdn.superposition import EdgeTrain
 from .resilience import RetryPolicy, guarded_call
-from .session import resolve_backend_name
 
 __all__ = ["Actuation", "WindowObservation", "SteppingSession"]
 
@@ -129,43 +127,6 @@ class WindowObservation:
         return int(np.argmin(self.v_min))
 
 
-class _ReferenceSteppingSolver:
-    """Reference-backend twin of
-    :class:`~repro.pdn.kernels.SteppingSolver`: the same windowed
-    interface over per-edge table superposition, memoizing the full
-    per-node rows per train epoch so window slices stitch bit-identically
-    to :meth:`ChipRunner._solve`'s reference path."""
-
-    def __init__(self, library, grid, nodes: list[str]):
-        self.library = library
-        self.grid = grid
-        self.nodes = list(nodes)
-        self._epoch_key: tuple | None = None
-        self._rows: list[np.ndarray] | None = None
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.grid.times.size)
-
-    def is_warm(self, trains: list[EdgeTrain]) -> bool:
-        return (
-            self._rows is not None
-            and self._epoch_key == SteppingSolver._train_key(trains)
-        )
-
-    def solve_window(
-        self, trains: list[EdgeTrain], lo: int, hi: int
-    ) -> list[np.ndarray]:
-        key = SteppingSolver._train_key(trains)
-        if self._rows is None or self._epoch_key != key:
-            self._rows = [
-                assemble_voltage(self.library, node, trains, self.grid.times)
-                for node in self.nodes
-            ]
-            self._epoch_key = key
-        return [row[lo:hi] for row in self._rows]
-
-
 class SteppingSession:
     """Windowed, actuated execution of one mapping run on one chip.
 
@@ -186,11 +147,6 @@ class SteppingSession:
     windows_per_segment:
         Windows each observation segment is divided into (clamped per
         segment so no window is empty).
-    backend:
-        ``auto`` / ``reference`` / ``batched``; environment default
-        (``$REPRO_BACKEND``) when omitted, with the session-layer
-        fallback semantics (explicit ``batched`` propagates compile
-        failures, ``auto`` falls back to reference).
     faults / retry:
         Optional :class:`~repro.faults.FaultPlan` injected into every
         cold window solve, absorbed by *retry* (default
@@ -208,7 +164,6 @@ class SteppingSession:
         *,
         run_tag: object = "control",
         windows_per_segment: int = 8,
-        backend: str | None = None,
         telemetry: Telemetry | None = None,
         faults=None,
         retry: RetryPolicy | None = None,
@@ -220,7 +175,6 @@ class SteppingSession:
             )
         self.chip = chip
         self.telemetry = telemetry or get_telemetry()
-        self.backend = resolve_backend_name(backend)
         self.runner = ChipRunner(chip)
         self.options = options or RunOptions()
         self.run_tag = run_tag
@@ -232,23 +186,8 @@ class SteppingSession:
         self.batch = self.runner.build_stimulus(mapping, self.options, run_tag)
         self._core_nodes = chip.core_nodes
         self._service = ServiceElement(chip)
-        self._kernel = None
-        if self.backend != "reference":
-            try:
-                with self.telemetry.time("engine.kernel.compile_seconds"):
-                    self._kernel = chip.compiled_kernel
-            except SolverError as error:
-                if self.backend == "batched":
-                    raise
-                self.telemetry.increment("engine.kernel.fallbacks")
-                self.telemetry.emit(
-                    "kernel.fallback",
-                    chip=chip.chip_id,
-                    error=f"{type(error).__name__}: {error}",
-                )
-        self.resolved_backend = (
-            "batched" if self._kernel is not None else "reference"
-        )
+        with self.telemetry.time("engine.kernel.compile_seconds"):
+            self._kernel = chip.compiled_kernel
 
         # Window partition: near-equal sample slices per segment, never
         # empty (clamped when a segment has fewer samples than windows).
@@ -333,33 +272,21 @@ class SteppingSession:
         return list(self._observations)
 
     # -- solve plumbing -------------------------------------------------
-    def _solver(self, seg: int):
+    def _solver(self, seg: int) -> SteppingSolver:
         if self._solvers[seg] is None:
-            grid = self.batch.segments[seg].samples
-            if self._kernel is not None:
-                self._solvers[seg] = SteppingSolver(
-                    self._kernel, grid, self._core_nodes
-                )
-            else:
-                self._solvers[seg] = _ReferenceSteppingSolver(
-                    self.chip.response_library, grid, self._core_nodes
-                )
-        return self._solvers[seg]
-
-    def _is_warm(self, solver, trains: list[EdgeTrain]) -> bool:
-        if isinstance(solver, SteppingSolver):
-            return (
-                solver._block is not None
-                and solver._epoch_key == SteppingSolver._train_key(trains)
+            self._solvers[seg] = SteppingSolver(
+                self._kernel,
+                self.batch.segments[seg].samples,
+                self._core_nodes,
             )
-        return solver.is_warm(trains)
+        return self._solvers[seg]
 
     def _window_rows(self, seg: int, lo: int, hi: int):
         """Per-core deviation rows of ``samples[lo:hi]`` of *seg*,
         routed through the fault plan (with retry) on cold epochs."""
         solver = self._solver(seg)
         trains = self._trains[seg]
-        if self.faults is None or self._is_warm(solver, trains):
+        if self.faults is None or solver.is_warm(trains):
             return solver.solve_window(trains, lo, hi)
         from ..faults.harness import _FaultyFn, fault_key
 
@@ -569,7 +496,7 @@ class SteppingSession:
                 node = self._core_nodes[core]
                 waveforms[node] = (times.copy(), dc_levels[node] + rows[core])
             extra = self.runner._solve_extra(
-                replace(segment, trains=self._trains[0]), self._kernel
+                replace(segment, trains=self._trains[0])
             )
             for node, deviation in zip(WAVEFORM_EXTRA_NODES, extra):
                 waveforms[node] = (times.copy(), dc_levels[node] + deviation)
@@ -600,7 +527,6 @@ class SteppingSession:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"SteppingSession(chip={self.chip.chip_id!r}, "
-            f"backend={self.resolved_backend}, "
             f"windows={self.position}/{self.n_windows}, "
             f"bias={self.bias:.3f})"
         )

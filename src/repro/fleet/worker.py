@@ -127,7 +127,6 @@ class FleetWorker:
         executor: Executor | str | None = "serial",
         jobs: int | None = None,
         retry: RetryPolicy | None = None,
-        backend: str | None = None,
         faults: object = _UNSET,
         serve: tuple[str, int] | None = None,
         telemetry: Telemetry | None = None,
@@ -150,7 +149,6 @@ class FleetWorker:
             executor = make_executor(executor, jobs)
         self.executor = executor
         self.retry = retry
-        self.backend = backend
         self.faults = (
             FaultPlan.from_env() if faults is _UNSET else faults
         )
@@ -413,7 +411,6 @@ class FleetWorker:
                 retry=self.retry,
                 on_failure="collect",
                 telemetry=self.telemetry,
-                backend=self.backend,
             )
             self._sessions[key] = session
         return session

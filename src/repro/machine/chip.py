@@ -4,8 +4,8 @@ A :class:`Chip` owns one concrete instance of the evaluation silicon:
 the calibrated PDN with this chip's process-variation scales applied,
 one skitter macro per core (plus MCU/GX/nest macros for completeness,
 as on the real die), and the TOD facility.  The expensive solver
-artifacts (state space, modal decomposition, response library) are
-built lazily and cached.
+artifacts (state space, modal decomposition, response library, and the
+compiled kernel every run solves through) are built lazily and cached.
 """
 
 from __future__ import annotations
@@ -171,11 +171,11 @@ class Chip:
 
     @cached_property
     def compiled_kernel(self) -> CompiledChipKernel:
-        """The chip's batched solve kernel (process-memoized by content
+        """The chip's solve kernel (process-memoized by content
         fingerprint, so identical chips share one compiled artifact).
-        Raises :class:`~repro.errors.SolverError` if the chip's spectrum
-        does not compile — callers on the ``auto`` backend catch that
-        and fall back to the reference solver."""
+        Raises :class:`~repro.errors.SolverError`, naming the failed
+        check, if the chip's spectrum does not compile — there is no
+        other solve path to fall back to."""
         return compile_kernel(self.response_library)
 
     def reset_skitters(self) -> None:

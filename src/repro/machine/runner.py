@@ -15,10 +15,11 @@ window somewhere in the long physical run:
   sticky skitter keeps the worst case across segments, exactly like
   sticky mode accumulating across a long run.
 
-Within a segment the per-core voltage waveforms are assembled by LTI
-superposition of ramp responses (:mod:`repro.pdn.superposition`), on a
-sample grid that is dense around ΔI edges and coarse elsewhere.  The
-segment also computes each core's *coherent ΔI* — the largest
+Within a segment the per-core voltage waveforms are solved by the
+chip's compiled kernel (:class:`~repro.pdn.kernels.CompiledChipKernel`,
+pinned against per-edge superposition of ramp responses in the tests),
+on a sample grid that is dense around ΔI edges and coarse elsewhere.
+The segment also computes each core's *coherent ΔI* — the largest
 weighted sum of rising edges within the chip's coherence window — which
 feeds the skitter's simultaneous-switching term.
 """
@@ -31,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigError, MeasurementError
-from ..pdn.kernels import CompiledChipKernel, SampleGrid
-from ..pdn.superposition import EdgeTrain, assemble_voltage, edges_from_square_wave
+from ..pdn.kernels import SampleGrid
+from ..pdn.superposition import EdgeTrain, edges_from_square_wave
 from ..rng import stream
 from .chip import Chip
 from .workload import CurrentProgram
@@ -175,7 +176,8 @@ class RunResult:
 class SegmentStimulus:
     """One observation window's worth of stimulus: the edge trains of
     every bursting core, the composite sample grid, and the per-core
-    coherent-ΔI figures.  Pure data — both solve paths consume it."""
+    coherent-ΔI figures.  Pure data — the solver and its test oracles
+    consume it."""
 
     index: int
     trains: list[EdgeTrain]
@@ -193,9 +195,10 @@ class StimulusBatch:
     validated mapping, options, the VRM-regulated DC operating point and
     one :class:`SegmentStimulus` per observation window.
 
-    Built by :meth:`ChipRunner.build_stimulus`; consumed identically by
-    the reference superposition path and the compiled-kernel path, which
-    is what makes the two backends comparable run-for-run.
+    Built by :meth:`ChipRunner.build_stimulus`; the compiled kernel
+    solves it in production, and the superposition oracle solves the
+    same batch in the tests, which makes the two comparable
+    run-for-run.
     """
 
     mapping: list[CurrentProgram | None]
@@ -210,12 +213,8 @@ class ChipRunner:
 
     The run pipeline is split into three phases — *build stimulus*
     (edge trains, sample grids, coherent ΔI), *solve* (voltage
-    deviation waveforms per node) and *measure* (sticky skitter
-    accumulation) — so the solve phase is pluggable: the default is the
-    reference per-edge superposition; passing a
-    :class:`~repro.pdn.kernels.CompiledChipKernel` routes it through the
-    batched fast path instead, with identical stimulus and measurement
-    phases on both sides.
+    deviation waveforms per node, through the chip's compiled kernel)
+    and *measure* (sticky skitter accumulation).
     """
 
     def __init__(self, chip: Chip):
@@ -227,38 +226,13 @@ class ChipRunner:
         mapping: Sequence[CurrentProgram | None],
         options: RunOptions | None = None,
         run_tag: object = "run",
-        *,
-        kernel: CompiledChipKernel | None = None,
     ) -> RunResult:
         """Execute *mapping* (one entry per core, ``None`` = idle core).
 
         ``run_tag`` differentiates the random phase draws of repeated
-        runs of the same mapping.  With *kernel*, the solve phase uses
-        the chip's compiled batched kernel instead of the reference
-        per-edge superposition (equivalent within the kernel's pinned
-        tolerance).
+        runs of the same mapping.
         """
-        batch = self.build_stimulus(mapping, options, run_tag)
-        return self.execute(batch, kernel=kernel)
-
-    def run_batch(
-        self,
-        mappings: Sequence[Sequence[CurrentProgram | None]],
-        options: RunOptions | None = None,
-        run_tags: Sequence[object] | None = None,
-        *,
-        kernel: CompiledChipKernel | None = None,
-    ) -> list[RunResult]:
-        """Execute several mappings back to back (shared options, one
-        stimulus-build + solve + measure cycle per mapping)."""
-        if run_tags is None:
-            run_tags = [f"run{i}" for i in range(len(mappings))]
-        if len(run_tags) != len(mappings):
-            raise ConfigError("run_tags and mappings must have equal length")
-        return [
-            self.run(mapping, options, tag, kernel=kernel)
-            for mapping, tag in zip(mappings, run_tags)
-        ]
+        return self.execute(self.build_stimulus(mapping, options, run_tag))
 
     # -- phase 1: stimulus construction --------------------------------
     def build_stimulus(
@@ -306,22 +280,17 @@ class ChipRunner:
         )
 
     # -- phase 2 + 3: solve and measure ---------------------------------
-    def execute(
-        self,
-        batch: StimulusBatch,
-        *,
-        kernel: CompiledChipKernel | None = None,
-    ) -> RunResult:
+    def execute(self, batch: StimulusBatch) -> RunResult:
         """Solve a prepared :class:`StimulusBatch` and measure it."""
         chip = self.chip
         options = batch.options
         chip.reset_skitters()
         core_nodes = chip.core_nodes
-        deviations = self._solve(batch, core_nodes, kernel)
+        deviations = self._solve(batch, core_nodes)
         collect = bool(options.collect_waveforms and batch.segments)
         extra: list[np.ndarray] = []
         if collect:
-            extra = self._solve_extra(batch.segments[0], kernel)
+            extra = self._solve_extra(batch.segments[0])
 
         dc_levels = batch.dc_levels
         waveforms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -374,46 +343,24 @@ class ChipRunner:
         )
 
     def _solve(
-        self,
-        batch: StimulusBatch,
-        nodes: list[str],
-        kernel: CompiledChipKernel | None,
+        self, batch: StimulusBatch, nodes: list[str]
     ) -> list[list[np.ndarray]]:
-        """Per-segment deviation waveforms for *nodes*: the pluggable
-        solve phase.  The kernel path evaluates every segment of the
-        run as one stacked batch; the reference path assembles each
-        (segment, node) waveform by per-edge table superposition."""
-        if kernel is not None:
-            return kernel.solve_batch(
-                [(seg.trains, seg.samples) for seg in batch.segments],
-                nodes=nodes,
-            )
-        library = self.chip.response_library
-        return [
-            [
-                assemble_voltage(library, node, seg.trains, seg.times)
-                for node in nodes
-            ]
-            for seg in batch.segments
-        ]
+        """Per-segment deviation waveforms for *nodes*: every segment
+        of the run evaluated as one stacked kernel batch."""
+        return self.chip.compiled_kernel.solve_batch(
+            [(seg.trains, seg.samples) for seg in batch.segments],
+            nodes=nodes,
+        )
 
-    def _solve_extra(
-        self, segment: SegmentStimulus, kernel: CompiledChipKernel | None
-    ) -> list[np.ndarray]:
+    def _solve_extra(self, segment: SegmentStimulus) -> list[np.ndarray]:
         """Waveform-collection extras (nest nodes, first segment only)."""
-        if kernel is not None:
-            return list(
-                kernel.evaluate(
-                    segment.trains,
-                    segment.samples,
-                    nodes=list(WAVEFORM_EXTRA_NODES),
-                )
+        return list(
+            self.chip.compiled_kernel.evaluate(
+                segment.trains,
+                segment.samples,
+                nodes=list(WAVEFORM_EXTRA_NODES),
             )
-        library = self.chip.response_library
-        return [
-            assemble_voltage(library, node, segment.trains, segment.times)
-            for node in WAVEFORM_EXTRA_NODES
-        ]
+        )
 
     # ------------------------------------------------------------------
     def _slow_average(
@@ -516,7 +463,7 @@ class ChipRunner:
 
         The grid records its own construction (base linspace, per-edge
         probe anchors/offsets, the ``unique`` gather) so the kernel
-        backend can build phase matrices multiplicatively; the sample
+        can build phase matrices multiplicatively; the sample
         *values* are identical to simply uniquing the concatenation.
         """
         if trains:

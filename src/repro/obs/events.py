@@ -87,7 +87,6 @@ EVENT_TYPES = frozenset({
     "serve.stopped",
     "serve.request",
     "serve.busy",
-    "kernel.fallback",
     "fleet.worker.started",
     "fleet.worker.stopped",
     "fleet.stolen",

@@ -8,18 +8,17 @@ ways:
 * exactly, via a state-space/modal decomposition (:mod:`.state_space`),
   which powers fast step-response evaluation and frequency-domain
   impedance profiles;
-* by linear superposition of precomputed step/ramp responses
-  (:mod:`.superposition`), which is how full multi-core stressmark
-  runs are assembled efficiently;
-* by precompiled per-chip batched kernels (:mod:`.kernels`), which
-  factor that same superposition into modal prefix sums so N stimuli
-  against one chip amortize to a single stacked solve — the engine's
-  ``batched`` backend.
+* by precompiled per-chip kernels (:mod:`.kernels`), which factor the
+  superposition of precomputed ramp responses into modal prefix sums
+  so a run's segments amortize to a single stacked solve — the one
+  solver every production run uses.
 
-A trapezoidal modified-nodal-analysis transient engine
-(:mod:`.mna`) is the independent oracle the test suite and the solver
-benchmarks check the modal solution against.  It needs scipy, so it is
-not imported here: import it as ``repro.pdn.mna``.
+Two oracles check that solver in the test suite and the solver
+benchmarks: per-edge linear superposition of the ramp responses
+(:func:`.superposition.assemble_voltage`) and a trapezoidal
+modified-nodal-analysis transient engine (:mod:`.mna`).  The MNA
+engine needs scipy, so it is not imported here: import it as
+``repro.pdn.mna``.
 
 :mod:`.topology` builds the multi-core chip network of the paper's
 evaluation platform (two on-chip voltage domains, six cores, the large

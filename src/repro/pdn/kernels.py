@@ -1,8 +1,9 @@
-"""Precompiled per-chip solve kernels: the batched LTI fast path.
+"""Precompiled per-chip solve kernels: the production PDN solver.
 
-The reference solve path (:func:`~repro.pdn.superposition.assemble_voltage`)
-interpolates one ramp-response table per *edge* — ``O(edges × samples)``
-table lookups per node.  Because the PDN is LTI and its spectrum has a
+Per-edge superposition (:func:`~repro.pdn.superposition.assemble_voltage`,
+the oracle the tests compare this kernel against) interpolates one
+ramp-response table per *edge* — ``O(edges × samples)`` table lookups
+per node.  Because the PDN is LTI and its spectrum has a
 clean gap between a handful of slow board/package modes and the fast
 on-chip modes, the same superposition can be factored once per chip into
 a :class:`CompiledChipKernel` and then evaluated for any number of edge
@@ -31,10 +32,10 @@ The kernel splits every (sample, edge) pair by elapsed time
 
 Compilation validates its own equivalence: the analytic slow tier is
 checked against the ramp table on a log grid spanning ``(W, horizon]``
-and compilation fails with :class:`~repro.errors.SolverError` if the
-deviation exceeds the pinned budget — which is what lets the engine's
-``auto`` backend fall back to the reference solver for a chip whose
-spectrum does not factor cleanly.
+and compilation fails with :class:`~repro.errors.SolverError`, naming
+the check that failed, if the deviation exceeds the pinned budget — a
+chip whose spectrum does not factor cleanly is refused loudly, never
+solved approximately.
 
 The prefix-sum factorization's exponents grow with the time since
 its origin, at ``max|Re λ_slow|`` e-folds per second, so the kernel
@@ -431,8 +432,8 @@ class CompiledChipKernel:
             raise SolverError(
                 f"kernel compile: analytic slow tier deviates "
                 f"{worst:.3e} V/A from the ramp table (budget "
-                f"{COMPILE_TOLERANCE_V:.0e}); falling back to the "
-                f"reference solver is required"
+                f"{COMPILE_TOLERANCE_V:.0e}); this chip's spectrum "
+                f"does not factor into a kernel"
             )
 
     # -- evaluation -----------------------------------------------------
@@ -794,6 +795,14 @@ class SteppingSolver:
         return tuple(
             (train.port, _digest(train.times), _digest(train.deltas))
             for train in trains
+        )
+
+    def is_warm(self, trains: list[EdgeTrain]) -> bool:
+        """Whether *trains* is the epoch whose block is already solved
+        (a window of it is a slice, no evaluation)."""
+        return (
+            self._block is not None
+            and self._epoch_key == self._train_key(trains)
         )
 
     def _block_for(self, trains: list[EdgeTrain]) -> np.ndarray:

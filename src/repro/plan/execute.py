@@ -91,7 +91,6 @@ def execute_plan(
     on_failure: str = "raise",
     manifest: CampaignManifest | None = None,
     telemetry: Telemetry | None = None,
-    backend: str | None = None,
 ) -> ExecutionReport:
     """Execute the slice of *campaign* owned by *shard* (the whole plan
     when ``shard`` is ``None``) on *chip*.
@@ -101,11 +100,6 @@ def execute_plan(
     campaign identity into the manifest, and checkpoints run-level
     completion points batch-wise — the durable record the shard-merge
     step folds together.
-
-    ``backend`` selects the solve path of every execution session
-    (``auto``/``reference``/``batched``; environment default when
-    omitted).  It never enters run fingerprints, so shards executed
-    under different backends still merge into one coherent cache.
     """
     if chip_identity(chip.config, chip.chip_id) != campaign.chip_fp:
         raise ConfigError(
@@ -152,7 +146,6 @@ def execute_plan(
                 retry=retry,
                 on_failure=on_failure,
                 telemetry=telemetry,
-                backend=backend,
             )
             results = session.run_many(
                 [list(entry.run.mapping) for entry in group],

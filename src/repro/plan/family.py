@@ -235,7 +235,6 @@ def execute_family(
     manifest_for: Callable[[FamilyMember], CampaignManifest | None]
     | None = None,
     telemetry: Telemetry | None = None,
-    backend: str | None = None,
 ) -> FamilyReport:
     """Execute the global *shard* of *campaign* across every member.
 
@@ -276,7 +275,6 @@ def execute_family(
                 on_failure=on_failure,
                 manifest=manifest_for(entry) if manifest_for else None,
                 telemetry=telemetry,
-                backend=backend,
             )
     telemetry.emit("family.completed", **report.summary())
     return report

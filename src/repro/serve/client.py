@@ -143,8 +143,8 @@ class ServeClient:
         ``controller`` is a :func:`~repro.control.controllers.
         controller_from_spec` description (``{"kind": "integral",
         "gain": 0.1, ...}``).  The reply carries the ``session`` id for
-        :meth:`session_step` / :meth:`session_close`, the window count
-        and the resolved solve backend.
+        :meth:`session_step` / :meth:`session_close`, the serving chip's
+        digest, the controller kind and the window count.
         """
         payload: dict = {
             "op": "session.open",

@@ -55,9 +55,9 @@ from ..engine.cache import ResultCache, global_cache
 from ..engine.executor import Executor, make_executor
 from ..engine.fingerprint import canonical, content_key
 from ..engine.resilience import RetryPolicy, RunFailure
-from ..engine.session import SimulationSession, resolve_backend_name
+from ..engine.session import SimulationSession
 from ..engine.stepping import SteppingSession
-from ..errors import ConfigError, ControlError, ProtocolError, SolverError
+from ..errors import ConfigError, ControlError, ProtocolError
 from ..machine.chip import Chip
 from ..machine.runner import RunOptions
 from ..measure.runit import RUnit, RUnitConfig
@@ -156,12 +156,6 @@ class SimulationService:
     max_wait_s:
         Hard ceiling a handler waits on a flight before replying with
         an error (defends clients against a wedged engine).
-    backend:
-        Solve path of every warm session (``auto``/``reference``/
-        ``batched``; environment default when omitted).  On any
-        non-reference backend, :meth:`start` pre-compiles the warm
-        chip's kernel, so even the service's first cold request skips
-        the kernel-build cost.
     window_s:
         Period of the live metrics ticker: every ``window_s`` the
         service snapshots its telemetry into the windowed series
@@ -213,7 +207,6 @@ class SimulationService:
         max_batch: int = 8,
         max_wait_s: float = 600.0,
         telemetry: Telemetry | None = None,
-        backend: str | None = None,
         window_s: float = 5.0,
         slo: SloPolicy | None = None,
         chips: Sequence[ChipSpec] = (),
@@ -256,7 +249,6 @@ class SimulationService:
         )
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
-        self.backend = resolve_backend_name(backend)
         self.telemetry = telemetry or get_telemetry()
         self._queue: queue.Queue = queue.Queue(maxsize=queue_limit)
         # Warm sessions, keyed (chip digest, canonical options).
@@ -276,10 +268,12 @@ class SimulationService:
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "SimulationService":
-        """Start the executor thread (idempotent), pre-warming the
-        chip's compiled kernel on any non-reference backend so the
-        first cold request pays a solve, not a kernel build."""
-        self._warm_kernel()
+        """Start the executor thread (idempotent), pre-compiling the
+        default chip's kernel so the first cold request pays a solve,
+        not a kernel build (a chip that does not compile refuses to
+        start with the kernel's :class:`~repro.errors.SolverError`)."""
+        with self.telemetry.time("engine.kernel.compile_seconds"):
+            self.chip.compiled_kernel
         if self._thread is None or not self._thread.is_alive():
             self._closing = False
             self._thread = threading.Thread(
@@ -295,24 +289,6 @@ class SimulationService:
             )
             self._ticker.start()
         return self
-
-    def _warm_kernel(self) -> None:
-        if self.backend == "reference":
-            return
-        try:
-            with self.telemetry.time("engine.kernel.compile_seconds"):
-                self.chip.compiled_kernel
-        except SolverError as error:
-            # 'auto' sessions fall back to the reference path on their
-            # own (and account for it); an explicit 'batched' service
-            # must refuse to start rather than silently degrade.
-            if self.backend == "batched":
-                raise
-            self.telemetry.emit(
-                "kernel.fallback",
-                chip=self.chip_fp,
-                error=f"{type(error).__name__}: {error}",
-            )
 
     def stop(self, timeout: float = 30.0) -> None:
         """Stop accepting work, drain the queue, join the executor."""
@@ -541,7 +517,6 @@ class SimulationService:
             request.options,
             run_tag=tag,
             windows_per_segment=windows,
-            backend=self.backend,
             telemetry=self.telemetry,
         )
         runit = (
@@ -568,7 +543,6 @@ class SimulationService:
             "chip": entry.digest,
             "controller": controller.kind,
             "windows": stepping.n_windows,
-            "backend": stepping.resolved_backend,
         }
 
     def _session_step(self, payload: dict) -> dict:
@@ -639,7 +613,6 @@ class SimulationService:
             "hot": self.hot.stats(),
             "sessions": len(self._sessions),
             "executor": getattr(self.executor, "name", "custom"),
-            "backend": self.backend,
             "chips": self.roster.stats(),
             "control_sessions": self.control.stats(),
         }
@@ -903,7 +876,6 @@ class SimulationService:
                 retry=self.retry,
                 on_failure="collect",
                 telemetry=self.telemetry,
-                backend=self.backend,
                 **kwargs,
             )
             self._sessions[key] = session

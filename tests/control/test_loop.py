@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.control.api import Controller
-from repro.control.loop import ClosedLoopRun, loop_summary
+from repro.control.loop import SOLVER_LABEL, ClosedLoopRun, loop_summary
 from repro.engine.stepping import Actuation
 from repro.measure.runit import RUnit, RUnitConfig
 
@@ -20,7 +20,6 @@ class FakeSteppingSession:
     """Replays a prepared observation list, applying bias actuations
     the way the real session does (offset folded into the window)."""
 
-    resolved_backend = "fake"
     chip = FakeChip()
 
     def __init__(self, windows):
@@ -111,7 +110,7 @@ class TestClosedLoopRun:
         assert summary["violations"] == 2
         assert summary["violation_windows"] == [1, 2]
         assert summary["controller"] == {"kind": "pulse"}
-        assert summary["backend"] == "fake"
+        assert summary["backend"] == SOLVER_LABEL == "batched"
 
     def test_summary_before_completion_reflects_progress(self):
         session = FakeSteppingSession(

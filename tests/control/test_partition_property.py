@@ -1,6 +1,6 @@
 """Property: every window partition is bit-identical to the monolithic
-solve — on both backends, and under injected transient faults with
-retry (the satellite acceptance property)."""
+solve — also under injected transient faults with retry (the
+satellite acceptance property)."""
 
 from __future__ import annotations
 
@@ -18,34 +18,23 @@ from repro.faults import FaultPlan, reset_fault_memo
 
 
 @pytest.fixture(scope="module")
-def baselines(chip, loop_mapping, loop_options):
-    """The monolithic result per backend (tolerance-zero targets)."""
-    return {
-        backend: SimulationSession(
-            chip,
-            loop_options,
-            cache=ResultCache(cache_dir=None),
-            backend=backend,
-        ).run(loop_mapping, run_tag="control")
-        for backend in ("reference", "batched")
-    }
+def baseline(chip, loop_mapping, loop_options):
+    """The monolithic result (the tolerance-zero target)."""
+    return SimulationSession(
+        chip, loop_options, cache=ResultCache(cache_dir=None)
+    ).run(loop_mapping, run_tag="control")
 
 
 @settings(max_examples=10, deadline=None)
 @given(
     windows=st.integers(min_value=1, max_value=11),
     chunk=st.integers(min_value=1, max_value=5),
-    backend=st.sampled_from(("reference", "batched")),
 )
 def test_any_partition_is_bit_identical(
-    chip, loop_mapping, loop_options, baselines, windows, chunk, backend
+    chip, loop_mapping, loop_options, baseline, windows, chunk
 ):
     stepping = SteppingSession(
-        chip,
-        loop_mapping,
-        loop_options,
-        windows_per_segment=windows,
-        backend=backend,
+        chip, loop_mapping, loop_options, windows_per_segment=windows
     )
     # Step in uneven chunks: continuation must not care how the caller
     # batches its windows.
@@ -55,13 +44,13 @@ def test_any_partition_is_bit_identical(
                 break
             stepping.step()
     assert len(stepping.observations) == stepping.n_windows
-    assert results_identical(stepping.result(), baselines[backend])
+    assert results_identical(stepping.result(), baseline)
 
 
 @settings(max_examples=5, deadline=None)
 @given(windows=st.integers(min_value=2, max_value=9))
 def test_partition_under_transient_faults_with_retry(
-    chip, loop_mapping, loop_options, baselines, windows
+    chip, loop_mapping, loop_options, baseline, windows
 ):
     """Every cold window solve takes one injected transient fault; the
     retry policy absorbs them all and the result is still exact."""
@@ -75,9 +64,7 @@ def test_partition_under_transient_faults_with_retry(
         retry=RetryPolicy(max_retries=2),
     )
     stepping.run_to_completion()
-    assert results_identical(
-        stepping.result(), baselines[stepping.resolved_backend]
-    )
+    assert results_identical(stepping.result(), baseline)
 
 
 def test_permanent_fault_surfaces_as_execution_error(

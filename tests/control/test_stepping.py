@@ -11,32 +11,24 @@ from repro.engine.stepping import Actuation, SteppingSession
 from repro.errors import ConfigError, ControlError
 from repro.machine.system import VOLTAGE_STEP
 
-BACKENDS = ("reference", "batched")
 
-
-def monolithic(chip, mapping, options, backend):
+def monolithic(chip, mapping, options):
     session = SimulationSession(
-        chip, options, cache=ResultCache(cache_dir=None), backend=backend
+        chip, options, cache=ResultCache(cache_dir=None)
     )
     return session.run(mapping, run_tag="control")
 
 
 class TestExactContinuation:
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_stepping_equals_monolithic(
-        self, chip, loop_mapping, loop_options, backend
+        self, chip, loop_mapping, loop_options
     ):
         stepping = SteppingSession(
-            chip,
-            loop_mapping,
-            loop_options,
-            windows_per_segment=5,
-            backend=backend,
+            chip, loop_mapping, loop_options, windows_per_segment=5
         )
-        assert stepping.resolved_backend == backend
         observations = stepping.run_to_completion()
         assert len(observations) == stepping.n_windows
-        baseline = monolithic(chip, loop_mapping, loop_options, backend)
+        baseline = monolithic(chip, loop_mapping, loop_options)
         assert results_identical(stepping.result(), baseline)
 
     def test_rewind_replays_bitwise(self, chip, loop_mapping, loop_options):
@@ -142,9 +134,7 @@ class TestActuation:
         stepping.run_to_completion()
         stepping.rewind()
         stepping.run_to_completion()
-        baseline = monolithic(
-            chip, loop_mapping, loop_options, stepping.resolved_backend
-        )
+        baseline = monolithic(chip, loop_mapping, loop_options)
         assert results_identical(stepping.result(), baseline)
 
     def test_negative_throttle_rejected(

@@ -1,11 +1,14 @@
-"""Session tests: cached execution, batching, campaign-level reuse."""
+"""Session tests: cached execution, batching, the one solve path,
+campaign-level reuse."""
 
 import pytest
 
 from repro.engine import ResultCache, SimulationSession
+from repro.errors import SolverError
+from repro.machine.chip import Chip
 from repro.machine.runner import RunOptions
 from repro.machine.workload import idle_program
-from repro.obs import Telemetry, set_telemetry
+from repro.obs import EventLog, Telemetry, set_telemetry, validate_event_log
 
 from .conftest import didt
 
@@ -71,6 +74,71 @@ class TestBatchedRuns:
     def test_tag_length_mismatch_rejected(self, session):
         with pytest.raises(ValueError):
             session.run_many([[didt()] * 6], tags=["a", "b"])
+
+
+class TestOneSolvePath:
+    MAPPINGS = [
+        [didt()] * 6,
+        [didt(i_high=28.0)] * 6,
+        [didt(sync=False)] * 6,
+    ]
+
+    def test_run_many_matches_the_raw_runner(self, session):
+        """A multi-miss serial batch goes through the same guarded
+        dispatch as a single run and returns exactly what the runner
+        computes."""
+        tags = ["a", "b", "c"]
+        results = session.run_many(self.MAPPINGS, tags)
+        for mapping, tag, result in zip(self.MAPPINGS, tags, results):
+            direct = session.runner.run(mapping, session.options, tag)
+            assert [
+                (m.p2p_pct, m.v_min, m.v_max) for m in result.measurements
+            ] == [(m.p2p_pct, m.v_min, m.v_max) for m in direct.measurements]
+
+    def test_solver_accounting_per_run(self, session, telemetry):
+        session.run_many(self.MAPPINGS)
+        assert telemetry.counter("engine.solver.invocations") == len(
+            self.MAPPINGS
+        )
+        assert telemetry.counter("engine.runs_executed") == len(self.MAPPINGS)
+        histogram = telemetry.histogram("engine.run.seconds")
+        assert histogram is not None and histogram.count == len(self.MAPPINGS)
+
+    def test_compile_failure_raises(self, session, telemetry, monkeypatch):
+        """A chip whose kernel does not compile fails the run with the
+        kernel's own error; nothing is solved another way."""
+
+        def boom(self):
+            raise SolverError("injected kernel compile failure")
+
+        monkeypatch.delitem(
+            session.chip.__dict__, "compiled_kernel", raising=False
+        )
+        monkeypatch.setattr(Chip, "compiled_kernel", property(boom))
+        with pytest.raises(SolverError, match="injected"):
+            session.run([didt()] * 6)
+        assert telemetry.counter("engine.runs_executed") == 0
+
+    def test_traced_serial_run_many_writes_a_valid_event_log(
+        self, chip, tmp_path
+    ):
+        """Every event a traced serial multi-miss batch emits is a
+        known event type."""
+        telemetry = Telemetry()
+        path = tmp_path / "events.jsonl"
+        with EventLog(path) as log:
+            telemetry.enable_tracing(events=log)
+            SimulationSession(
+                chip,
+                RunOptions(segments=1, base_samples=512),
+                cache=ResultCache(telemetry=telemetry),
+                executor="serial",
+                faults=None,
+                telemetry=telemetry,
+            ).run_many(self.MAPPINGS[:2])
+        n_valid, errors = validate_event_log(path)
+        assert errors == []
+        assert n_valid > 0
 
 
 class TestDerivedSessions:

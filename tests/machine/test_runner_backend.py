@@ -1,15 +1,18 @@
-"""Reference vs compiled-kernel solve paths through the runner: the
-two backends must produce interchangeable runs."""
+"""The runner's solve path against its oracle: ``ChipRunner`` solves
+through the compiled kernel, and per-edge superposition
+(:func:`~repro.pdn.superposition.assemble_voltage`) solving the same
+``build_stimulus`` output must agree within the kernel's pinned
+tolerance — measurements and collected waveforms alike."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
-from repro.machine.runner import ChipRunner, RunOptions
+from repro.machine.runner import ChipRunner, RunOptions, WAVEFORM_EXTRA_NODES
 from repro.machine.workload import CurrentProgram, SyncSpec, idle_program
 from repro.pdn.kernels import KERNEL_TOLERANCE_V
+from repro.pdn.superposition import assemble_voltage
 
 
 def didt(i_low=14.0, i_high=32.0, freq=2.6e6, sync=False, offset=0.0):
@@ -23,14 +26,37 @@ def didt(i_low=14.0, i_high=32.0, freq=2.6e6, sync=False, offset=0.0):
     )
 
 
+class OracleRunner(ChipRunner):
+    """A runner whose solve phase is per-edge superposition: same
+    stimulus, same measurement, only the waveforms come from the
+    oracle."""
+
+    def _solve(self, batch, nodes):
+        library = self.chip.response_library
+        return [
+            [
+                assemble_voltage(library, node, seg.trains, seg.times)
+                for node in nodes
+            ]
+            for seg in batch.segments
+        ]
+
+    def _solve_extra(self, segment):
+        library = self.chip.response_library
+        return [
+            assemble_voltage(library, node, segment.trains, segment.times)
+            for node in WAVEFORM_EXTRA_NODES
+        ]
+
+
 @pytest.fixture(scope="module")
 def runner(chip):
     return ChipRunner(chip)
 
 
 @pytest.fixture(scope="module")
-def kernel(chip):
-    return chip.compiled_kernel
+def oracle(chip):
+    return OracleRunner(chip)
 
 
 def assert_equivalent(reference, fast):
@@ -38,6 +64,7 @@ def assert_equivalent(reference, fast):
         assert quick.coherent_delta_i == ref.coherent_delta_i
         assert abs(quick.v_min - ref.v_min) < KERNEL_TOLERANCE_V
         assert abs(quick.v_max - ref.v_max) < KERNEL_TOLERANCE_V
+    assert set(fast.waveforms) == set(reference.waveforms)
     for node, (times, volts) in reference.waveforms.items():
         t_fast, v_fast = fast.waveforms[node]
         assert np.array_equal(t_fast, times)
@@ -56,52 +83,25 @@ MAPPINGS = {
 
 class TestRunEquivalence:
     @pytest.mark.parametrize("shape", sorted(MAPPINGS))
-    def test_backends_agree(self, runner, kernel, shape):
-        mapping = MAPPINGS[shape]()
+    def test_backends_agree(self, runner, oracle, shape):
+        """``ChipRunner.run`` vs the oracle over the same stimulus,
+        waveform extras (the nest nodes) included."""
         options = RunOptions(
             segments=2, base_samples=1024, collect_waveforms=True
         )
-        reference = runner.run(mapping, options, run_tag=shape)
-        fast = runner.run(mapping, options, run_tag=shape, kernel=kernel)
-        assert_equivalent(reference, fast)
+        batch = runner.build_stimulus(MAPPINGS[shape](), options, shape)
+        fast = runner.run(batch.mapping, options, run_tag=shape)
+        assert set(WAVEFORM_EXTRA_NODES) <= set(fast.waveforms)
+        assert_equivalent(oracle.execute(batch), fast)
 
-    def test_stimulus_is_backend_independent(self, runner, chip):
-        """build_stimulus + execute on either backend equals run():
-        the stimulus phase never sees the kernel."""
+    def test_stimulus_is_backend_independent(self, runner, oracle):
+        """build_stimulus + execute equals run(): the stimulus phase
+        never sees the solver, and the oracle solving that very batch
+        agrees with it."""
         mapping = [didt(sync=True)] * 6
         options = RunOptions(segments=2, base_samples=1024)
         batch = runner.build_stimulus(mapping, options, "split")
-        via_reference = runner.execute(batch)
-        via_kernel = runner.execute(batch, kernel=chip.compiled_kernel)
+        via_kernel = runner.execute(batch)
         whole = runner.run(mapping, options, "split")
-        assert via_reference.p2p_by_core == whole.p2p_by_core
-        assert_equivalent(via_reference, via_kernel)
-
-
-class TestRunBatch:
-    def test_matches_sequential_runs(self, runner, kernel):
-        options = RunOptions(segments=2, base_samples=1024)
-        mappings = [[didt(sync=True, freq=f)] * 6 for f in (1.3e6, 2.6e6)]
-        tags = ["batch0", "batch1"]
-        batched = runner.run_batch(
-            mappings, options, run_tags=tags, kernel=kernel
-        )
-        for mapping, tag, result in zip(mappings, tags, batched):
-            single = runner.run(mapping, options, tag, kernel=kernel)
-            assert result.p2p_by_core == single.p2p_by_core
-
-    def test_default_tags(self, runner):
-        options = RunOptions(segments=1, base_samples=512)
-        mappings = [[didt()] * 6, [didt()] * 6]
-        batched = runner.run_batch(mappings, options)
-        tagged = [
-            runner.run(mapping, options, f"run{i}")
-            for i, mapping in enumerate(mappings)
-        ]
-        assert [r.p2p_by_core for r in batched] == [
-            r.p2p_by_core for r in tagged
-        ]
-
-    def test_tag_length_mismatch(self, runner):
-        with pytest.raises(ConfigError):
-            runner.run_batch([[didt()] * 6], run_tags=["a", "b"])
+        assert via_kernel.p2p_by_core == whole.p2p_by_core
+        assert_equivalent(oracle.execute(batch), via_kernel)

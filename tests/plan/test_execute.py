@@ -58,32 +58,6 @@ class TestDedupEqualsExecuted:
         assert report.replayed == campaign.total_unique
 
 
-class TestBackendPropagation:
-    def test_backends_share_one_cache(self, campaign, tiny_context):
-        """Cache-key neutrality through the plan layer: a campaign
-        executed on the batched backend replays for free on the
-        reference backend (and the results agree)."""
-        telemetry = Telemetry()
-        cache = ResultCache(telemetry=telemetry)
-        cold = execute_plan(
-            campaign, tiny_context.chip, cache=cache,
-            executor="serial", telemetry=telemetry, backend="batched",
-        )
-        assert cold.executed == campaign.total_unique
-        assert telemetry.histogram("engine.run.batched.seconds") is not None
-        warm = execute_plan(
-            campaign, tiny_context.chip, cache=cache,
-            executor="serial", telemetry=telemetry, backend="reference",
-        )
-        assert warm.executed == 0
-        assert warm.replayed == campaign.total_unique
-        assert set(warm.results) == set(cold.results)
-
-    def test_invalid_backend_refused(self, campaign, tiny_context):
-        with pytest.raises(ConfigError):
-            execute_plan(campaign, tiny_context.chip, backend="warp")
-
-
 class TestManifestCheckpointing:
     def test_run_points_recorded(self, campaign, tiny_context, tmp_path):
         telemetry = Telemetry()

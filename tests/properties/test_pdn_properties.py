@@ -105,6 +105,9 @@ def test_mna_agrees_with_modal(net):
     omega_max = float(np.abs(modal.eigenvalues).max())
     dt = min(t_end / 4000, 0.05 / omega_max)
     assume(t_end / dt <= 300_000)  # skip pathologically stiff draws
+    # Compare at most 100k steps: stiff draws then check their first
+    # 100k steps instead of all of them.
+    t_end = min(t_end, 100_000 * dt)
     result = simulate_transient(
         net, {"vin": 0.0, "load": 1.0}, t_end=t_end, dt=dt, observe=["n0"]
     )

@@ -209,6 +209,7 @@ class TestVerbs:
         assert health["in_flight"] == 0
         assert set(health["hot"]) >= {"entries", "capacity", "hits"}
         assert health["executor"] == "serial"
+        assert "backend" not in health  # one solve path, nothing to report
         assert len(health["chip"]) == 64  # digest, not the raw identity
 
     def test_metrics_shape(self, service):
@@ -303,6 +304,29 @@ class TestDegradation:
         # The next request sails through the healed path.
         healthy = service.handle(simulate_payload())
         assert healthy["ok"] is True and healthy["tier"] == "executed"
+
+
+class TestWarmKernel:
+    def test_start_precompiles_kernel(self, service, telemetry):
+        assert "engine.kernel.compile_seconds" in telemetry.timers
+
+    def test_uncompilable_chip_refuses_to_start(
+        self, chip, cheap_options, monkeypatch
+    ):
+        from repro.errors import SolverError
+        from repro.machine.chip import Chip
+
+        def boom(self):
+            raise SolverError("injected kernel compile failure")
+
+        monkeypatch.delitem(chip.__dict__, "compiled_kernel", raising=False)
+        monkeypatch.setattr(Chip, "compiled_kernel", property(boom))
+        svc = SimulationService(
+            chip, cheap_options, cache=ResultCache(cache_dir=None)
+        )
+        with pytest.raises(SolverError, match="injected"):
+            svc.start()
+        assert svc._thread is None
 
 
 class TestValidation:
