@@ -81,7 +81,7 @@ def run_population_study(
     name: str,
     n_chips: int = 8,
     config: ChipConfig | None = None,
-    executor: Executor | str | None = None,
+    executor: Executor | None = None,
     jobs: int | None = None,
     retry: RetryPolicy | None = None,
 ) -> PopulationStatistic:
@@ -90,9 +90,9 @@ def run_population_study(
     Each chip gets its own variation draw (``chip_id`` 0..n-1 under the
     shared seed); the metric receives a fully built :class:`Chip`.
     Chips are independent, so the evaluations fan out over the engine
-    executor (``executor="process"``/``$REPRO_EXECUTOR``); results are
-    identical to serial execution since every chip derives its own
-    named random streams.  Per-chip evaluations execute under *retry*
+    executor (a prebuilt *executor*, else one for *jobs* /
+    ``$REPRO_JOBS``); results are identical to serial execution since
+    every chip derives its own named random streams.  Per-chip evaluations execute under *retry*
     (env default): a flaky worker is retried and a broken pool degrades
     to serial, but a population with a permanently failing chip raises
     — a spread statistic over a partial population would silently lie.
@@ -100,8 +100,8 @@ def run_population_study(
     if n_chips < 2:
         raise ExperimentError("a population needs at least two chips")
     config = config or ChipConfig()
-    if isinstance(executor, (str, type(None))):
-        executor = make_executor(executor, jobs)
+    if executor is None:
+        executor = make_executor(jobs)
     retry = retry or RetryPolicy.from_env()
     telemetry = get_telemetry()
     telemetry.increment("population.chips", n_chips)

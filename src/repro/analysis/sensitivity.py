@@ -4,7 +4,7 @@ Each sweep is split into a *compiler* and an *executor*: the private
 ``_compile_*`` helper enumerates the exact (mappings, tags) workload,
 the public ``plan_*`` function wraps that enumeration into a
 declarative :class:`~repro.plan.spec.RunPlan` (what the campaign
-planner dedups and shards), and the public ``sweep_*`` function
+planner dedups), and the public ``sweep_*`` function
 executes the same enumeration through a session and post-processes the
 results.  Compiler and executor share one code path, so a compiled
 plan's fingerprints are byte-identical to what execution computes —

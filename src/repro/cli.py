@@ -9,9 +9,9 @@ Subcommands:
   deduplicated campaign plan and report it without running anything:
   runs requested per figure, unique runs after cross-figure dedup
   (Fig. 7a/9 share a frequency sweep, Fig. 11/13a share the ΔI
-  dataset), shard-size preview (``--shards N``), and an estimated
-  cold wall clock when a previous campaign's ``telemetry.json``
-  provides a per-run latency baseline (``--telemetry PATH``);
+  dataset), and an estimated cold wall clock when a previous
+  campaign's ``telemetry.json`` provides a per-run latency baseline
+  (``--telemetry PATH``);
   ``--since MANIFEST`` diffs the plan against a campaign manifest and
   reports only the runs not yet checkpointed as complete;
 * ``profile <events.jsonl>`` — render a campaign post-mortem (latency
@@ -30,18 +30,18 @@ Subcommands:
 * ``query`` — the matching client: submit simulate requests (optionally
   ``--repeat``/``--concurrency`` for load), or ``--health`` /
   ``--metrics`` / ``--shutdown`` the running server;
-* ``merge-shards DEST SRC [SRC ...]`` — fold the disk caches and
-  campaign manifests of shard runs into DEST, after which an
-  unsharded ``run`` over DEST replays entirely from cache;
+* ``fleet <id> [...] --output DIR`` — run a campaign on an elastic
+  worker fleet: N workers lease runs from one shared manifest, steal
+  the leases of dead workers, and fold their caches into DIR, after
+  which a ``run`` over DIR's cache replays entirely from cache;
 * ``family`` — chip-family sweeps over declarative
   :mod:`repro.chips` specs: ``family list`` / ``family expand NAME``
   show the named families and their member fingerprints, ``family
   plan NAME ID...`` compiles the per-member campaign report, and
   ``family run NAME ID... --output DIR`` executes the experiments
-  across every member (global ``--shard i/N`` slices supported),
-  exporting per-member artifacts plus a ``family-results.json``
-  result set (resonance frequency, worst Vmin and peak noise vs.
-  core count);
+  across every member, exporting per-member artifacts plus a
+  ``family-results.json`` result set (resonance frequency, worst Vmin
+  and peak noise vs. core count);
 * ``control`` — closed-loop studies on the stepping engine: an
   integral-regulator gain sweep (droop/overshoot/settling vs Ki) or an
   adversarial undervolting attack surface, both post-processing one
@@ -49,20 +49,16 @@ Subcommands:
   bit-identity on every invocation;
 * ``table1 .. fig15`` — shorthand for ``run <id>``.
 
-Sharding: ``run --shard i/N --cache-dir DIR`` executes only the i-th
-of N deterministic slices of the compiled campaign plan (partitioned
-by run fingerprint, so every host computes the same split without
-coordination), checkpointing run-level completion into DIR's manifest
-under a writer lock.  Shards run on any mix of hosts; merge their
-cache directories with ``merge-shards`` and re-run unsharded to export
-bit-identical results.
+Fan-out: ``--jobs N`` (or ``$REPRO_JOBS``) is the one executor knob —
+at 1 (the default) runs execute serially, above 1 a session's cache
+misses fan out over N worker processes.  Across processes or hosts, a
+campaign fans out through ``fleet``.
 
 ``--quick`` swaps in the reduced-cost context (shorter EPI loops, fewer
 sweep points) for smoke runs.  Every run solves through the chip's
 precompiled kernel (:class:`~repro.pdn.kernels.CompiledChipKernel`);
-there is no solver switch.  The engine knobs: ``--jobs N`` /
-``--executor process`` fan cache misses out over worker processes,
-``--cache-dir DIR`` persists the result cache across invocations, and
+there is no solver switch.  ``--cache-dir DIR`` persists the result
+cache across invocations, and
 ``run --profile`` prints the engine telemetry (run counts, cache
 hits/misses, latency histograms, solver calls, per-experiment wall
 clock) after the run.
@@ -125,14 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         default=None,
-        help="worker processes for sweep fan-out (default: $REPRO_JOBS "
-        "or the CPU count; implies --executor process when N > 1)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("serial", "process"),
-        default=None,
-        help="sweep execution backend (default: $REPRO_EXECUTOR or serial)",
+        help="worker processes for sweep fan-out; 1 runs serially "
+        "(default: $REPRO_JOBS, else 1)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -185,19 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser(
         "plan",
         help="compile a campaign plan and report it (dry run: dedup "
-        "savings, shard preview, wall-clock estimate)",
+        "savings, wall-clock estimate)",
     )
     plan.add_argument(
         "experiments",
         nargs="+",
         help="experiment ids to plan (e.g. fig7a fig9), or 'all'",
-    )
-    plan.add_argument(
-        "--shards",
-        type=int,
-        metavar="N",
-        default=None,
-        help="preview the run counts of an N-way shard split",
     )
     plan.add_argument(
         "--telemetry",
@@ -223,22 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale the wall-clock estimate to an N-worker fleet "
         "(default: auto-detect from the live-status.json next to "
         "--since, else 1)",
-    )
-    merge = sub.add_parser(
-        "merge-shards",
-        help="fold shard cache dirs + manifests into one campaign dir",
-    )
-    merge.add_argument(
-        "dest",
-        metavar="DEST",
-        help="destination campaign directory (cache + manifest)",
-    )
-    merge.add_argument(
-        "sources",
-        metavar="SRC",
-        nargs="+",
-        help="shard campaign directories (each a --cache-dir a "
-        "'run --shard' wrote)",
     )
     profile = sub.add_parser(
         "profile",
@@ -519,8 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a campaign on an elastic worker fleet: N workers "
         "claim runs under heartbeat-renewed leases from one shared "
         "manifest, steal expired leases from dead workers, and fold "
-        "their caches at the end (crash-tolerant alternative to "
-        "static 'run --shard')",
+        "their caches at the end",
     )
     fleet.add_argument(
         "experiments",
@@ -659,15 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
         "frequency, worst Vmin and peak noise vs. core count",
     )
     family.add_argument(
-        "--shard",
-        metavar="I/N",
-        default=None,
-        help="execute only the i-th of N global slices of the family "
-        "campaign (the union of every member's shard i/N; requires "
-        "--cache-dir, no drivers or exports run — merge and re-run "
-        "as with 'run --shard')",
-    )
-    family.add_argument(
         "--json",
         action="store_true",
         help="emit machine-readable JSON ('expand' and 'plan')",
@@ -702,33 +659,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="print engine telemetry (runs, cache hits, wall clock) "
         "after the run",
     )
-    run.add_argument(
-        "--shard",
-        metavar="I/N",
-        default=None,
-        help="execute only the i-th of N deterministic slices of the "
-        "compiled campaign plan (requires --cache-dir; no drivers or "
-        "exports run — merge the shards' cache dirs afterwards with "
-        "'merge-shards' and re-run unsharded to export)",
-    )
     return parser
 
 
 def _configure_engine(args: argparse.Namespace) -> None:
     """Point the engine defaults at the CLI's choices.
 
-    Sessions read ``$REPRO_JOBS``/``$REPRO_EXECUTOR`` at construction
-    time, so the flags are exported for every session the experiment
-    drivers build (and for their worker processes).
+    Sessions read ``$REPRO_JOBS`` at construction time, so the job
+    count is resolved once here — a bad ``--jobs`` or ``$REPRO_JOBS``
+    raises :class:`~repro.errors.ConfigError` before anything runs —
+    and exported for every session the experiment drivers build (and
+    for their worker processes).
     """
-    from .engine import configure_cache
+    from .engine import configure_cache, resolve_jobs
 
-    if args.jobs is not None:
-        os.environ["REPRO_JOBS"] = str(args.jobs)
-        if args.executor is None and args.jobs > 1:
-            args.executor = "process"
-    if args.executor is not None:
-        os.environ["REPRO_EXECUTOR"] = args.executor
+    args.jobs = resolve_jobs(args.jobs)
+    os.environ["REPRO_JOBS"] = str(args.jobs)
     if args.max_retries is not None:
         os.environ["REPRO_MAX_RETRIES"] = str(args.max_retries)
     if args.run_timeout is not None:
@@ -872,10 +818,12 @@ def _plan_workers(args: argparse.Namespace) -> tuple[int, str]:
 
 def _run_plan(args: argparse.Namespace) -> int:
     """The ``plan`` subcommand: compile → dedup → report, run nothing."""
+    from .engine import resolve_jobs
     from .experiments import compile_campaign
 
-    context = quick_context() if args.quick else default_context()
     try:
+        jobs = resolve_jobs(args.jobs)
+        context = quick_context() if args.quick else default_context()
         campaign = compile_campaign(_requested_ids(args), context)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -927,10 +875,6 @@ def _run_plan(args: argparse.Namespace) -> int:
                   f"tag={entry.run.tag}")
         if len(remaining) > len(shown):
             print(f"  ... and {len(remaining) - len(shown)} more")
-    if args.shards:
-        sizes = campaign.shard_sizes(args.shards)
-        split = " + ".join(str(size) for size in sizes)
-        print(f"shard split    : {args.shards}-way → {split} runs")
     baseline = Path(args.telemetry) if args.telemetry else None
     if baseline is None:
         campaign_dir = _campaign_dir(args)
@@ -941,7 +885,6 @@ def _run_plan(args: argparse.Namespace) -> int:
         if baseline is not None
         else (None, 0, "engine.run.seconds")
     )
-    jobs = args.jobs or int(os.environ.get("REPRO_JOBS") or 1)
     workers, workers_source = _plan_workers(args)
     estimate = campaign.estimate_seconds(mean_run_s, jobs=jobs,
                                          workers=workers)
@@ -960,65 +903,6 @@ def _run_plan(args: argparse.Namespace) -> int:
             "(point --telemetry at a previous campaign's telemetry.json)"
         )
     return 0
-
-
-def _run_shard(args: argparse.Namespace) -> int:
-    """``run --shard i/N``: execute one deterministic slice of the
-    compiled campaign plan (no drivers, no exports — results land in
-    the disk cache, completion in the manifest)."""
-    from .engine import CampaignManifest
-    from .engine.cache import default_cache_dir
-    from .experiments import compile_campaign
-    from .plan import ShardSpec, execute_plan
-
-    if args.cache_dir is None:
-        print(
-            "error: run --shard needs --cache-dir (the slice's results "
-            "and manifest must be durable to be merged)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        spec = ShardSpec.parse(args.shard)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    context = quick_context() if args.quick else default_context()
-    campaign_dir = (
-        Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    )
-    manifest = CampaignManifest(campaign_dir / "campaign-manifest.json")
-    telemetry = get_telemetry()
-    event_log = _trace_log(args, campaign_dir)
-    if event_log is not None:
-        telemetry.enable_tracing(events=event_log)
-    try:
-        campaign = compile_campaign(_requested_ids(args), context)
-        report = execute_plan(
-            campaign,
-            context.chip,
-            shard=spec,
-            on_failure=args.on_failure
-            or os.environ.get("REPRO_ON_FAILURE")
-            or "raise",
-            manifest=manifest,
-            telemetry=telemetry,
-        )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
-        if event_log is not None:
-            event_log.close()
-    print(
-        f"shard {spec} of plan {report.plan[:16]}…: {report.runs} run(s) "
-        f"— {report.executed} executed, {report.replayed} replayed from "
-        f"cache, {report.failed} failed"
-    )
-    print(f"manifest: {manifest.path}")
-    if args.profile:
-        print(telemetry.report())
-    return 1 if report.failed else 0
 
 
 def _member_label(name: str) -> str:
@@ -1079,7 +963,7 @@ def _run_family(args: argparse.Namespace) -> int:
     from .chips import get_family, list_families
     from .experiments import compile_family_campaign, context_for_spec
     from .ioutil import atomic_write_json
-    from .plan import ShardSpec, execute_family
+    from .plan import execute_family
 
     if args.action == "list":
         for family in list_families():
@@ -1160,74 +1044,7 @@ def _run_family(args: argparse.Namespace) -> int:
     print(f"dedup savings  : {summary['dedup_savings']} (within members; "
           "fingerprints embed the chip identity)")
     if args.action == "plan":
-        if args.shard:
-            try:
-                count = ShardSpec.parse(args.shard).count
-            except ReproError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            sizes = campaign.shard_sizes(count)
-            split = " + ".join(str(size) for size in sizes)
-            print(f"shard split    : {count}-way → {split} runs")
         return 0
-
-    # -- run ------------------------------------------------------------
-    if args.shard:
-        from .engine import CampaignManifest
-
-        if args.cache_dir is None:
-            print(
-                "error: family run --shard needs --cache-dir (the "
-                "slice's results must be durable to be merged)",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            spec = ShardSpec.parse(args.shard)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        campaign_dir = Path(args.cache_dir)
-
-        def manifest_for(member):
-            manifest = CampaignManifest(
-                campaign_dir
-                / f"manifest-{_member_label(member.name)}.json"
-            )
-            return manifest
-
-        event_log = _trace_log(args, campaign_dir)
-        if event_log is not None:
-            telemetry.enable_tracing(events=event_log)
-        try:
-            report = execute_family(
-                campaign,
-                shard=spec,
-                on_failure=args.on_failure
-                or os.environ.get("REPRO_ON_FAILURE")
-                or "raise",
-                manifest_for=manifest_for,
-                telemetry=telemetry,
-            )
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        finally:
-            if event_log is not None:
-                event_log.close()
-        print(
-            f"shard {spec} of family {report.fingerprint[:16]}…: "
-            f"{report.runs} run(s) — {report.executed} executed, "
-            f"{report.replayed} replayed, {report.failed} failed"
-        )
-        for name, member_report in sorted(report.reports.items()):
-            print(
-                f"  {_member_label(name):<16} {member_report.runs:>5} "
-                f"run(s), {member_report.failed} failed"
-            )
-        if args.profile:
-            print(telemetry.report())
-        return 1 if report.failed else 0
 
     output = Path(args.output) if args.output else None
     event_log = _trace_log(args, output)
@@ -1330,59 +1147,6 @@ def _run_family(args: argparse.Namespace) -> int:
     if args.profile:
         print(telemetry.report())
     return status
-
-
-def _run_merge_shards(args: argparse.Namespace) -> int:
-    """``merge-shards``: union shard disk caches and manifests into one
-    campaign directory."""
-    from .engine import CampaignManifest
-    from .engine.cache import merge_cache_dirs
-
-    dest = Path(args.dest)
-    sources = [Path(source) for source in args.sources]
-    missing = [str(source) for source in sources if not source.is_dir()]
-    if missing:
-        print(
-            f"error: no such shard dir(s): {', '.join(missing)}",
-            file=sys.stderr,
-        )
-        return 2
-    telemetry = get_telemetry()
-    event_log = _trace_log(args, dest)
-    if event_log is not None:
-        telemetry.enable_tracing(events=event_log)
-    try:
-        copied, skipped = merge_cache_dirs(dest, *sources)
-        shard_manifests = [
-            CampaignManifest(source / "campaign-manifest.json")
-            for source in sources
-            if (source / "campaign-manifest.json").exists()
-        ]
-        absorbed = 0
-        if shard_manifests:
-            absorbed = CampaignManifest(
-                dest / "campaign-manifest.json"
-            ).merge_from(*shard_manifests)
-        telemetry.emit(
-            "shard.merged",
-            dest=str(dest),
-            sources=[str(source) for source in sources],
-            cache_copied=copied,
-            cache_skipped=skipped,
-            manifest_points=absorbed,
-        )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
-        if event_log is not None:
-            event_log.close()
-    print(
-        f"merged {len(sources)} shard dir(s) into {dest}: "
-        f"{copied} cache entries copied, {skipped} already present, "
-        f"{absorbed} manifest point(s) absorbed"
-    )
-    return 0
 
 
 def _parse_endpoint(spec: str) -> tuple[str, int]:
@@ -1933,14 +1697,16 @@ def main(argv: list[str] | None = None) -> int:
         return _run_profile(args)
     if args.command == "plan":
         return _run_plan(args)
-    if args.command == "merge-shards":
-        return _run_merge_shards(args)
     if args.command == "query":
         return _run_query(args)
     if args.command == "top":
         return _run_top(args)
 
-    _configure_engine(args)
+    try:
+        _configure_engine(args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     if args.command == "serve":
         return _run_serve(args)
@@ -1956,9 +1722,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "family":
         return _run_family(args)
-
-    if args.command == "run" and args.shard:
-        return _run_shard(args)
 
     if args.command == "list":
         for experiment_id, title in all_experiments().items():

@@ -2,8 +2,8 @@
 
 Both studies post-process ONE solved stimulus.  The plan compiler
 declares a single nominal baseline run under :data:`CONTROL_RUN_TAG`
-(the vmin-experiment pattern), so control campaigns shard/dedup/fleet
-like everything else; the driver executes that baseline through the
+(the vmin-experiment pattern), so control campaigns dedup and run on
+the fleet like everything else; the driver executes that baseline through the
 engine session (cache-addressed) and then steps the closed loop on a
 :class:`~repro.engine.stepping.SteppingSession` built from the *same*
 ``(mapping, options, run_tag)`` triple.  Because every built-in

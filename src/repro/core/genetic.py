@@ -83,7 +83,7 @@ def genetic_max_power_search(
     length: int = DEFAULT_SEQUENCE_LENGTH,
     seed: int = 0,
     cache: ResultCache | None = None,
-    executor: Executor | str | None = None,
+    executor: Executor | None = None,
     jobs: int | None = None,
     retry: RetryPolicy | None = None,
 ) -> GeneticSearchResult:
@@ -108,8 +108,8 @@ def genetic_max_power_search(
     meter = meter or PowerMeter(target)
     if cache is None:
         cache = global_cache()
-    if isinstance(executor, (str, type(None))):
-        executor = make_executor(executor, jobs)
+    if executor is None:
+        executor = make_executor(jobs)
     retry = retry or RetryPolicy.from_env()
     telemetry = get_telemetry()
     rng = stream(seed, "ga", "search")

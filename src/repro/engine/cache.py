@@ -83,7 +83,7 @@ class ResultCache:
         if self.cache_dir is not None:
             # Created eagerly: anything else that keys off the cache
             # directory (a CampaignManifest handed the same path, a
-            # shard merge) must see a directory, not a missing path.
+            # fleet fold) must see a directory, not a missing path.
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             self.prune_quarantine()
 
@@ -316,9 +316,9 @@ def configure_cache(
 def merge_cache_dirs(
     dest: str | Path, *sources: str | Path
 ) -> tuple[int, int]:
-    """Fold shard disk caches into *dest*; returns ``(copied, skipped)``.
+    """Fold worker disk caches into *dest*; returns ``(copied, skipped)``.
 
-    Entries are content-addressed, so two shards can never disagree
+    Entries are content-addressed, so two workers can never disagree
     about a key — an entry already present in *dest* is simply skipped.
     Copies go through the atomic publish path, so a merge racing a
     reader (or another merge) never exposes a torn pickle.  Quarantine

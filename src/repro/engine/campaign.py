@@ -9,17 +9,17 @@ them without re-entering their drivers at all.  The manifest is a tiny
 JSON file, rewritten atomically after every completed point, holding
 per-point status and the engine telemetry snapshot at completion time.
 
-With campaign sharding (:mod:`repro.plan`), several *processes* may
-hold manifests for slices of one campaign: each shard writes its own
-manifest under a writer lock (a live concurrent writer is waited out
-with bounded, deterministically jittered retries, then refused with
-:class:`~repro.errors.ConcurrencyError`), and
-:meth:`CampaignManifest.merge_from` folds shard manifests into one —
-the bookkeeping half of the shard-merge step, next to the disk-cache
-merge (:func:`repro.engine.cache.merge_cache_dirs`).
+Every write happens under a writer lock (a live concurrent writer is
+waited out with bounded, deterministically jittered retries, then
+refused with :class:`~repro.errors.ConcurrencyError`), because with a
+fleet (:mod:`repro.fleet`) several *processes* write manifests of one
+campaign: each worker keeps a private completion record, and
+:meth:`CampaignManifest.merge_from` folds those into the shared one —
+the bookkeeping half of the fleet fold, next to the disk-cache merge
+(:func:`repro.engine.cache.merge_cache_dirs`).
 
-With a fleet (:mod:`repro.fleet`), one manifest is additionally the
-*shared claim table*: any worker pulls unfinished runs in batches
+The fleet's shared manifest is additionally the *claim table*: any
+worker pulls unfinished runs in batches
 under the writer lock (:meth:`CampaignManifest.claim_batch`), renews
 its leases while executing (:meth:`CampaignManifest.renew_claims`),
 and survivors steal the expired leases of dead or wedged workers.  A
@@ -355,7 +355,7 @@ class CampaignManifest:
             except BlockingIOError:
                 raise ConcurrencyError(
                     f"manifest {self.path} is locked by live writer "
-                    f"pid {self._lock_holder()}; two shard processes "
+                    f"pid {self._lock_holder()}; two writer processes "
                     f"must not share one manifest path"
                 ) from None
             try:
@@ -593,14 +593,15 @@ class CampaignManifest:
                 tally["failed"] += 1
         return {worker: accounting[worker] for worker in sorted(accounting)}
 
-    # -- merging shard manifests ----------------------------------------
+    # -- merging manifests ----------------------------------------------
     def merge_from(self, *sources: "CampaignManifest") -> int:
-        """Fold shard manifests into this one; returns the number of
-        point entries absorbed.
+        """Fold other manifests of this campaign (a fleet's per-worker
+        records) into this one; returns the number of point entries
+        absorbed.
 
         Point conflicts resolve by status precedence (``complete`` >
         ``failed`` > ``poisoned`` > ``claimed`` > ``started``), so a
-        point that any shard finished is finished in the union.
+        point that any source finished is finished in the union.
         Sources bound to a *different* campaign fingerprint are
         refused with :class:`~repro.errors.ConfigError` — merging
         unrelated campaigns would fabricate a resume state.  The

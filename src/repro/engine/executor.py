@@ -3,26 +3,27 @@
 Independent simulation runs (a frequency sweep's points, an exhaustive
 mapping enumeration, a chip population, a GA generation) have no data
 dependencies, so they fan out over a :class:`ProcessPoolExecutor` when
-more than one core is available.  Work is dispatched in contiguous
-chunks so each worker process amortizes its one-time setup (rebuilding
-the chip's modal decomposition) over many runs.
+more than one job is requested.  Work is dispatched in contiguous
+chunks, one per job, so each worker process amortizes its one-time
+setup (rebuilding the chip's modal decomposition) over many runs.
 
-Backend selection:
-
-* explicit ``executor=``/``jobs=`` arguments win;
-* else ``$REPRO_EXECUTOR`` (``serial``/``process``) and ``$REPRO_JOBS``;
-* else serial — on a single-core host the pool only adds overhead.
+Backend selection has one knob, the job count: an explicit ``jobs=``
+argument, else ``$REPRO_JOBS`` (the CLI's ``--jobs``), else 1.
+:func:`make_executor` returns a :class:`SerialExecutor` when the count
+resolves to 1 and a :class:`ProcessExecutor` above that.  Fanning out
+across processes or hosts is the fleet's job (:mod:`repro.fleet`).
 
 Determinism does not depend on the backend: every run derives its
 random streams by name (:mod:`repro.rng`), so serial and process
 execution produce bit-identical results (guarded by
 ``tests/engine/test_determinism.py``).
 
-Fault isolation: both backends expose :meth:`map_guarded`, which runs
-every item through :func:`repro.engine.resilience.guarded_call`
-(bounded retry + backoff + optional per-run timeout) and returns
-structured :class:`~repro.engine.resilience.GuardedOutcome`s instead of
-letting one bad run kill the batch.  The process backend additionally
+Fault isolation: :meth:`map_guarded` is each backend's only entry
+point.  It runs every item through
+:func:`repro.engine.resilience.guarded_call` (bounded retry + backoff
++ optional per-run timeout) and returns structured
+:class:`~repro.engine.resilience.GuardedOutcome`s instead of letting
+one bad run kill the batch.  The process backend additionally
 **degrades gracefully**: a chunk whose worker crashes
 (``BrokenProcessPool``), wedges past its wall-clock budget, or fails to
 even deserialize its task is re-executed serially in the parent
@@ -52,7 +53,6 @@ __all__ = [
     "ProcessExecutor",
     "make_executor",
     "resolve_jobs",
-    "default_executor_name",
     "chunked",
 ]
 
@@ -63,12 +63,9 @@ POOL_GRACE_S = 5.0
 T = TypeVar("T")
 R = TypeVar("R")
 
-EXECUTOR_NAMES = ("serial", "process")
-
 
 def resolve_jobs(jobs: int | None = None) -> int:
-    """Worker count: explicit argument, else ``$REPRO_JOBS``, else the
-    machine's CPU count."""
+    """Job count: explicit argument, else ``$REPRO_JOBS``, else 1."""
     if jobs is not None:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1 (got {jobs})")
@@ -82,18 +79,7 @@ def resolve_jobs(jobs: int | None = None) -> int:
         if parsed < 1:
             raise ConfigError(f"REPRO_JOBS must be >= 1 (got {parsed})")
         return parsed
-    return os.cpu_count() or 1
-
-
-def default_executor_name() -> str:
-    """Backend used when none is requested explicitly (a blank or
-    whitespace-only ``$REPRO_EXECUTOR`` means "unset")."""
-    name = os.environ.get("REPRO_EXECUTOR", "").strip().lower() or "serial"
-    if name not in EXECUTOR_NAMES:
-        raise ConfigError(
-            f"REPRO_EXECUTOR must be one of {EXECUTOR_NAMES} (got {name!r})"
-        )
-    return name
+    return 1
 
 
 def chunked(items: Sequence[T], n_chunks: int) -> list[list[T]]:
@@ -138,9 +124,6 @@ class SerialExecutor:
     name = "serial"
     jobs = 1
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        return [fn(item) for item in items]
-
     def map_guarded(
         self,
         fn: Callable[[T], R],
@@ -152,7 +135,7 @@ class SerialExecutor:
         on_result: Callable[[int, GuardedOutcome], None] | None = None,
         telemetry: Telemetry | None = None,
     ) -> list[GuardedOutcome]:
-        """Fault-isolated :meth:`map`: one outcome per item, in order.
+        """Fault-isolated in-order map: one outcome per item.
 
         *on_result* fires as each item completes (the session uses it
         to flush finished runs to the disk cache incrementally, which
@@ -184,11 +167,6 @@ class SerialExecutor:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "SerialExecutor()"
-
-
-def _run_chunk(fn: Callable, chunk: list) -> list:
-    """Worker-side driver: apply *fn* to each item of one chunk."""
-    return [fn(item) for item in chunk]
 
 
 def _run_chunk_guarded(
@@ -228,46 +206,8 @@ class ProcessExecutor:
 
     name = "process"
 
-    def __init__(self, jobs: int | None = None, chunks_per_job: int = 1):
-        if chunks_per_job < 1:
-            raise ConfigError(
-                f"chunks_per_job must be >= 1 (got {chunks_per_job})"
-            )
+    def __init__(self, jobs: int | None = None):
         self.jobs = resolve_jobs(jobs)
-        self.chunks_per_job = chunks_per_job
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        """Plain fan-out.  A broken pool (worker died mid-batch)
-        degrades to serial re-execution of the unfinished chunks; run
-        exceptions propagate to the caller unchanged."""
-        items = list(items)
-        if not items:
-            return []
-        if self.jobs == 1 and len(items) <= 1:
-            return [fn(item) for item in items]
-        chunks = chunked(items, self.jobs * self.chunks_per_job)
-        results: list[R] = []
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
-        try:
-            futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
-            degraded = False
-            for future, chunk in zip(futures, chunks):
-                if degraded:
-                    results.extend(fn(item) for item in chunk)
-                    continue
-                try:
-                    results.extend(future.result())
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as error:
-                    if not _is_pool_infrastructure_error(error):
-                        raise
-                    _account_degradation(get_telemetry())
-                    degraded = True
-                    results.extend(fn(item) for item in chunk)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return results
 
     def map_guarded(
         self,
@@ -312,7 +252,7 @@ class ProcessExecutor:
                 on_result=on_result,
                 telemetry=sink,
             )
-        chunks = chunked(entries, self.jobs * self.chunks_per_job)
+        chunks = chunked(entries, self.jobs)
         outcomes: list[GuardedOutcome | None] = [None] * len(entries)
         budget = self._chunk_budget_s(retry)
         degraded = False
@@ -365,16 +305,6 @@ class ProcessExecutor:
         return f"ProcessExecutor(jobs={self.jobs})"
 
 
-def _is_pool_infrastructure_error(error: BaseException) -> bool:
-    """True when a future failed because of the *pool* (dead worker,
-    lost task, unpicklable transfer) rather than the mapped function
-    itself raising."""
-    from concurrent.futures import BrokenExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    return isinstance(error, (BrokenExecutor, BrokenProcessPool))
-
-
 def _account_degradation(telemetry: Telemetry) -> None:
     telemetry.increment("engine.pool.degraded_to_serial")
 
@@ -383,15 +313,10 @@ def _account_degradation(telemetry: Telemetry) -> None:
 Executor = SerialExecutor | ProcessExecutor
 
 
-def make_executor(
-    name: str | None = None, jobs: int | None = None
-) -> Executor:
-    """Build a backend from a name (explicit > env > serial)."""
-    name = (name or default_executor_name()).strip().lower()
-    if name == "serial":
+def make_executor(jobs: int | None = None) -> Executor:
+    """The backend for a job count (explicit > ``$REPRO_JOBS`` > 1):
+    serial at one job, a process pool above that."""
+    jobs = resolve_jobs(jobs)
+    if jobs == 1:
         return SerialExecutor()
-    if name == "process":
-        return ProcessExecutor(jobs)
-    raise ConfigError(
-        f"unknown executor {name!r}; expected one of {EXECUTOR_NAMES}"
-    )
+    return ProcessExecutor(jobs)

@@ -19,8 +19,8 @@ runner:
   chip before the first dispatch (a chip that does not compile raises
   the kernel's :class:`~repro.errors.SolverError`);
 * **parallel fan-out** — :meth:`run_many` dispatches cache misses in
-  contiguous chunks over a process pool when a parallel executor is
-  selected (``--jobs``/``$REPRO_JOBS``), rebuilding the chip once per
+  contiguous chunks over a process pool when more than one job is
+  requested (``--jobs``/``$REPRO_JOBS``), rebuilding the chip once per
   worker;
 * **fault isolation** — every run executes under a
   :class:`~repro.engine.resilience.RetryPolicy` (bounded retry with
@@ -87,10 +87,10 @@ class SimulationSession:
         independent sessions over the same chip reuse each other's
         runs.  Pass ``cache=None`` explicitly via a private
         :class:`ResultCache` to isolate a session (tests).
-    executor:
-        Fan-out backend for :meth:`run_many` (``"serial"``/
-        ``"process"`` or a prebuilt executor); environment default when
-        omitted.
+    executor / jobs:
+        Fan-out backend for :meth:`run_many`: a prebuilt executor, else
+        one built for *jobs* (``$REPRO_JOBS``, else serial, when
+        omitted).
     retry:
         Fault-isolation policy (max retries, backoff, per-run
         timeout); ``$REPRO_MAX_RETRIES``/``$REPRO_RUN_TIMEOUT`` (the
@@ -115,7 +115,7 @@ class SimulationSession:
         options: RunOptions | None = None,
         *,
         cache: ResultCache | None = None,
-        executor: Executor | str | None = None,
+        executor: Executor | None = None,
         jobs: int | None = None,
         retry: RetryPolicy | None = None,
         on_failure: str = "raise",
@@ -125,8 +125,8 @@ class SimulationSession:
         self.chip = chip
         self.options = options or RunOptions()
         self.cache = cache if cache is not None else global_cache()
-        if isinstance(executor, (str, type(None))):
-            executor = make_executor(executor, jobs)
+        if executor is None:
+            executor = make_executor(jobs)
         if on_failure not in FAILURE_MODES:
             raise ConfigError(
                 f"on_failure must be one of {FAILURE_MODES} "

@@ -82,7 +82,7 @@ class ControlError(ReproError):
 
 class ConcurrencyError(ReproError):
     """Two live writers raced for the same durable resource (e.g. two
-    shard processes pointed at one campaign manifest)."""
+    processes holding one campaign manifest's writer lock)."""
 
 
 class ExecutionError(ReproError):

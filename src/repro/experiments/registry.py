@@ -7,7 +7,8 @@ declarative :class:`~repro.plan.spec.RunPlan` of exactly the chip runs
 the executor would issue.  :func:`compile_campaign` merges the plans of
 a multi-figure campaign into one deduplicated
 :class:`~repro.plan.planner.CampaignPlan` — the object the
-``repro-noise plan`` dry-run reports on and ``--shard i/N`` slices.
+``repro-noise plan`` dry-run reports on and ``repro-noise fleet``
+leases out.
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ def compile_family_campaign(
     Each member gets its own spec-parameterized context (same fidelity
     tier for all members) and its own deduplicated
     :class:`CampaignPlan`; the result is the
-    :class:`~repro.plan.FamilyCampaign` the family CLI verb plans,
-    shards and executes.  The reference member's plan is fingerprint-
+    :class:`~repro.plan.FamilyCampaign` the family CLI verb plans and
+    executes.  The reference member's plan is fingerprint-
     identical to what :func:`compile_campaign` produces standalone.
     """
     from ..chips import get_family

@@ -144,9 +144,9 @@ class FaultyExecutor:
     """An engine executor with a :class:`FaultPlan` bolted on.
 
     Drop-in for :class:`~repro.engine.executor.SerialExecutor` /
-    :class:`~repro.engine.executor.ProcessExecutor`: ``map`` and
-    ``map_guarded`` delegate to the wrapped backend with every call
-    routed through the plan.  The engine's resilience machinery is
+    :class:`~repro.engine.executor.ProcessExecutor`: ``map_guarded``
+    delegates to the wrapped backend with every call routed through
+    the plan.  The engine's resilience machinery is
     expected to absorb whatever the plan throws — that is the point.
     """
 
@@ -167,9 +167,6 @@ class FaultyExecutor:
     @property
     def jobs(self) -> int:
         return self.inner.jobs
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        return self.inner.map(_FaultyFn(self.plan, fn, self.key_fn), items)
 
     def map_guarded(
         self,

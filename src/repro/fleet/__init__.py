@@ -1,8 +1,9 @@
 """``repro.fleet`` — elastic, crash-tolerant multi-worker campaigns.
 
-`repro.plan` shards a campaign *statically*: each process owns a fixed
-hash slice, and a dead host's slice simply never finishes.  This
-package replaces ownership with **leases**: every worker pulls
+The fleet is the one way a compiled campaign plan (:mod:`repro.plan`)
+fans out across processes or hosts; within one process, ``--jobs``
+fans a session's cache misses over a pool.  No worker owns a fixed
+slice of the campaign — work moves by **leases**: every worker pulls
 unfinished runs in small batches from one shared
 :class:`~repro.engine.campaign.CampaignManifest` (the claim table),
 heartbeats to keep its leases alive, and executes claim → execute →
@@ -17,10 +18,11 @@ stolen run raced by a not-quite-dead original worker produces the
 fleet's exports are byte-identical to a serial fault-free execution,
 which is the chaos acceptance test in CI.
 
-* :class:`FleetWorker` — the claim/execute/renew loop (one process).
+* :class:`FleetWorker` — the claim/execute/renew loop (one process,
+  serial sessions).
 * :class:`FleetDispatcher` — spawns and monitors N workers (local
-  subprocesses, or remote via an ssh command template), respawns
-  crashed ones within a budget, and folds the per-worker caches and
+  subprocesses, or remote via an ssh or Slurm command template),
+  respawns crashed ones within a budget, and folds the per-worker caches and
   manifests into the campaign result with
   :func:`~repro.engine.cache.merge_cache_dirs` /
   :meth:`~repro.engine.campaign.CampaignManifest.merge_from`.

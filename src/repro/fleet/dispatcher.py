@@ -23,13 +23,19 @@ leases expire and survivors steal them, so progress never depends on
 the respawn.  A worker that exits cleanly found the campaign
 exhausted.
 
-The end-of-campaign **fold** reuses the shard-merge machinery: worker
-caches union via :func:`~repro.engine.cache.merge_cache_dirs`, worker
-manifests fold into the shared table via
+The end-of-campaign **fold** unions the worker caches via
+:func:`~repro.engine.cache.merge_cache_dirs` (entries are
+content-addressed, so two workers can never disagree), folds worker
+manifests into the shared table via
 :meth:`~repro.engine.campaign.CampaignManifest.merge_from` (healing
 any chaos-scribbled claim entries — a private manifest records every
-completion its worker made), and worker event logs concatenate into
+completion its worker made), and concatenates worker event logs into
 one campaign log whose Chrome trace renders one lane per worker.
+
+Each worker is a fresh interpreter whose numpy would otherwise start
+one BLAS thread per core; the spawn environment pins
+``OPENBLAS_NUM_THREADS=1`` (unless the user exported a value) so N
+workers use N cores, not N × cores.
 """
 
 from __future__ import annotations
@@ -206,6 +212,8 @@ class FleetDispatcher:
         log = (workdir / "log.txt").open("ab")
         self._logs.append(log)
         env = dict(os.environ)
+        # The fleet is the parallelism: one BLAS thread per worker.
+        env.setdefault("OPENBLAS_NUM_THREADS", "1")
         # The workers import repro the same way this process did; with
         # a source-tree launch that path may only live in sys.path.
         package_root = str(Path(__file__).resolve().parents[2])
@@ -339,7 +347,6 @@ class FleetDispatcher:
         by_worker = self.manifest.fleet_accounting()
         report = ExecutionReport(
             plan=plan_fp,
-            shard=None,
             runs=self.campaign.total_unique,
             by_worker=by_worker,
         )

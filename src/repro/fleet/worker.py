@@ -1,8 +1,9 @@
 """The fleet worker: one claim → execute → checkpoint → renew loop.
 
-A :class:`FleetWorker` owns no shard.  It repeatedly claims a small
-batch of unfinished runs from the shared campaign manifest under a
-heartbeat-renewed lease, executes them through an ordinary
+A :class:`FleetWorker` owns no fixed slice of the campaign.  It
+repeatedly claims a small batch of unfinished runs from the shared
+campaign manifest under a heartbeat-renewed lease, executes them
+serially through an ordinary
 :class:`~repro.engine.session.SimulationSession` (same cache keys,
 same retry semantics as every other execution path), and checkpoints
 each completion back — to the shared claim table *and* to a private
@@ -38,7 +39,7 @@ import time
 
 from ..engine.cache import ResultCache, global_cache
 from ..engine.campaign import DEFAULT_POISON_AFTER, CampaignManifest
-from ..engine.executor import Executor, make_executor
+from ..engine.executor import SerialExecutor
 from ..engine.fingerprint import canonical
 from ..engine.resilience import RetryPolicy, RunFailure
 from ..engine.session import SimulationSession
@@ -124,8 +125,6 @@ class FleetWorker:
         heartbeat_s: float | None = None,
         poison_after: int = DEFAULT_POISON_AFTER,
         poll_s: float = 0.5,
-        executor: Executor | str | None = "serial",
-        jobs: int | None = None,
         retry: RetryPolicy | None = None,
         faults: object = _UNSET,
         serve: tuple[str, int] | None = None,
@@ -145,9 +144,6 @@ class FleetWorker:
         self.heartbeat_s = heartbeat_s or max(lease_s / 4.0, 0.05)
         self.poison_after = poison_after
         self.poll_s = poll_s
-        if isinstance(executor, (str, type(None))):
-            executor = make_executor(executor, jobs)
-        self.executor = executor
         self.retry = retry
         self.faults = (
             FaultPlan.from_env() if faults is _UNSET else faults
@@ -407,7 +403,8 @@ class FleetWorker:
                 self.chip,
                 options,
                 cache=self.cache,
-                executor=self.executor,
+                # The fleet is the fan-out: a worker never starts a pool.
+                executor=SerialExecutor(),
                 retry=self.retry,
                 on_failure="collect",
                 telemetry=self.telemetry,

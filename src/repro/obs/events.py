@@ -21,16 +21,18 @@ Event schema (one object per line)::
   the executing process — the per-worker lanes of the Chrome trace);
   ``run.retried`` adds ``retries``; ``run.failed`` adds ``error``.
 * ``plan.compiled`` carries the campaign-plan summary (requested /
-  unique / dedup counts per figure); ``shard.started`` /
-  ``shard.completed`` carry the plan fingerprint and shard label;
-  ``shard.merged`` records a merge of shard caches + manifests.
+  unique / dedup counts per figure); ``family.completed`` carries a
+  family run's per-member execution report.
 * ``experiment.*`` events carry ``experiment``; ``campaign.completed``
   carries the final telemetry ``snapshot`` (merged counters,
   histograms, span summaries).
 * ``serve.*`` events come from the simulation service
   (:mod:`repro.serve`): ``serve.request`` carries ``fingerprint``,
   the answering ``tier`` and ``dur_ms``; ``serve.busy`` records a
-  backpressure rejection with its ``retry_after_s`` hint.
+  backpressure rejection with its ``retry_after_s`` hint;
+  ``serve.session_*`` track the stateful control sessions (opened,
+  closed, expired) and ``serve.chip_evicted`` a hosted chip leaving
+  residency.
 * ``fleet.*`` events come from the elastic campaign fleet
   (:mod:`repro.fleet`): worker/dispatcher lifecycle, lease steals and
   poisonings, injected host faults; ``fleet.transition`` records a
@@ -80,13 +82,15 @@ EVENT_TYPES = frozenset({
     "run.completed",
     "point.dropped",
     "plan.compiled",
-    "shard.started",
-    "shard.completed",
-    "shard.merged",
+    "family.completed",
     "serve.started",
     "serve.stopped",
     "serve.request",
     "serve.busy",
+    "serve.session_opened",
+    "serve.session_closed",
+    "serve.session_expired",
+    "serve.chip_evicted",
     "fleet.worker.started",
     "fleet.worker.stopped",
     "fleet.stolen",

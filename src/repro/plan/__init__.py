@@ -3,7 +3,7 @@
 The paper's characterization is one giant campaign: thousands of chip
 runs shared across Figures 7–15.  This package turns the repo's
 per-figure scripts into a schedulable campaign system by splitting the
-pipeline into **plan → dedup → shard → execute**:
+pipeline into **plan → dedup → execute**:
 
 * :mod:`repro.plan.spec` — :class:`PlannedRun` / :class:`RunPlan`:
   declarative, content-fingerprintable run specifications (what a
@@ -12,26 +12,22 @@ pipeline into **plan → dedup → shard → execute**:
   of a multi-figure campaign and deduplicate identical runs *before*
   execution, so cross-figure sharing (Fig. 7a/9's frequency sweep,
   Fig. 11/13a's ΔI dataset) is explicit and countable;
-* :mod:`repro.plan.shard` — :class:`ShardSpec`: deterministic
-  hash-of-fingerprint partitioning (``--shard i/N``), so any host can
-  execute any slice with no coordination;
-* :mod:`repro.plan.execute` — :func:`execute_plan`: run a slice
-  through the engine (same cache, same fingerprints), checkpointing
-  through :class:`~repro.engine.campaign.CampaignManifest` so shard
-  caches/manifests merge into a bit-identical unsharded result;
+* :mod:`repro.plan.execute` — :func:`execute_plan`: run the plan
+  through the engine (same cache, same fingerprints), so the figure
+  drivers afterwards replay it from cache;
 * :mod:`repro.plan.family` — :class:`FamilyCampaign` /
   :func:`execute_family`: the same pipeline fanned across a declarative
-  chip family (one member plan per chip fingerprint, global sharding,
-  per-chip execution sessions).
+  chip family (one member plan per chip fingerprint, per-chip
+  execution sessions).
 
-See DESIGN.md §9 for the plan model, the shard partitioning function
-and the merge semantics.
+A compiled plan fans out across processes or hosts through the lease
+fleet (:mod:`repro.fleet`).  See DESIGN.md §9 for the plan model and
+§12 for the fleet and its fold.
 """
 
 from .execute import ExecutionReport, execute_plan, run_point_id
 from .family import FamilyCampaign, FamilyMember, FamilyReport, execute_family
 from .planner import CampaignPlan, UniqueRun, merge_plans
-from .shard import ShardSpec
 from .spec import PlannedRun, RunPlan, chip_identity
 
 __all__ = [
@@ -41,7 +37,6 @@ __all__ = [
     "CampaignPlan",
     "UniqueRun",
     "merge_plans",
-    "ShardSpec",
     "ExecutionReport",
     "execute_plan",
     "run_point_id",

@@ -1,13 +1,14 @@
-"""Plan execution: run a (shard of a) compiled campaign plan.
+"""Plan execution: run a compiled campaign plan.
 
-This is the "execute" stage of plan → dedup → shard → execute.  It
-takes the deduplicated :class:`~repro.plan.planner.CampaignPlan`, slices
-it with an optional :class:`~repro.plan.shard.ShardSpec`, and drives the
-remaining unique runs through :class:`SimulationSession` — same cache,
-same fingerprints, same retry policy as the imperative path, so a shard
-execution is purely a cache-warming transformation: once every shard's
-disk cache and manifest are merged, re-running the unsharded campaign
-replays 100% from cache and produces bit-identical exports.
+This is the "execute" stage of plan → dedup → execute.  It takes the
+deduplicated :class:`~repro.plan.planner.CampaignPlan` and drives its
+unique runs through :class:`SimulationSession` — same cache, same
+fingerprints, same retry policy as the imperative path, so executing a
+plan is purely a cache-warming transformation: the figure drivers that
+run afterwards replay every run from cache and export bit-identical
+results.  Fanning a plan out across processes or hosts is the fleet's
+job (:mod:`repro.fleet`), which reuses :func:`run_point_id` and
+:class:`ExecutionReport`.
 
 Runs are grouped by their (canonicalized) :class:`RunOptions` — one
 session per distinct options set, all sharing one cache/executor — so a
@@ -17,10 +18,8 @@ runs executes each under the options it was planned with.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
-from ..engine.campaign import CampaignManifest
 from ..engine.cache import ResultCache, global_cache
 from ..engine.executor import Executor, make_executor
 from ..engine.fingerprint import canonical
@@ -30,7 +29,6 @@ from ..errors import ConfigError
 from ..machine.chip import Chip
 from ..obs import Telemetry, get_telemetry
 from .planner import CampaignPlan, UniqueRun
-from .shard import ShardSpec
 from .spec import chip_identity
 
 __all__ = ["ExecutionReport", "execute_plan", "run_point_id"]
@@ -44,11 +42,10 @@ def run_point_id(fingerprint: str) -> str:
 
 @dataclass
 class ExecutionReport:
-    """What executing a plan slice actually did."""
+    """What executing a plan actually did."""
 
     plan: str                      # campaign plan fingerprint
-    shard: str | None              # "i/N", or None for the full plan
-    runs: int                      # unique runs this slice owns
+    runs: int                      # unique runs in the plan
     executed: int = 0              # solved now (cache misses)
     replayed: int = 0              # served from cache
     failed: int = 0                # exhausted their retry budget
@@ -62,7 +59,6 @@ class ExecutionReport:
     def summary(self) -> dict:
         summary = {
             "plan": self.plan,
-            "shard": self.shard,
             "runs": self.runs,
             "executed": self.executed,
             "replayed": self.replayed,
@@ -83,61 +79,31 @@ def execute_plan(
     campaign: CampaignPlan,
     chip: Chip,
     *,
-    shard: ShardSpec | None = None,
     cache: ResultCache | None = None,
-    executor: Executor | str | None = None,
+    executor: Executor | None = None,
     jobs: int | None = None,
     retry: RetryPolicy | None = None,
     on_failure: str = "raise",
-    manifest: CampaignManifest | None = None,
     telemetry: Telemetry | None = None,
 ) -> ExecutionReport:
-    """Execute the slice of *campaign* owned by *shard* (the whole plan
-    when ``shard`` is ``None``) on *chip*.
-
-    With a *manifest*, execution runs under the manifest writer lock
-    (a second live writer to the same path is refused), binds the
-    campaign identity into the manifest, and checkpoints run-level
-    completion points batch-wise — the durable record the shard-merge
-    step folds together.
-    """
+    """Execute every unique run of *campaign* on *chip*."""
     if chip_identity(chip.config, chip.chip_id) != campaign.chip_fp:
         raise ConfigError(
             "chip does not match the campaign plan's chip identity"
         )
     telemetry = telemetry or get_telemetry()
     cache = cache if cache is not None else global_cache()
-    if isinstance(executor, (str, type(None))):
-        executor = make_executor(executor, jobs)
+    if executor is None:
+        executor = make_executor(jobs)
 
-    slice_runs = campaign.shard(shard)
+    runs = list(campaign.unique.values())
     plan_fp = campaign.fingerprint()
-    shard_label = str(shard) if shard is not None else None
-    report = ExecutionReport(
-        plan=plan_fp, shard=shard_label, runs=len(slice_runs)
-    )
+    report = ExecutionReport(plan=plan_fp, runs=len(runs))
 
     telemetry.emit("plan.compiled", **campaign.summary())
-    telemetry.emit(
-        "shard.started",
-        plan=plan_fp,
-        shard=shard_label,
-        runs=len(slice_runs),
-    )
-    with ExitStack() as stack:
-        if manifest is not None:
-            stack.enter_context(manifest.writer_lock())
-            manifest.bind_campaign({"plan": plan_fp, "shard": shard_label})
-        stack.enter_context(
-            telemetry.span(
-                "plan.execute",
-                plan=plan_fp,
-                shard=shard_label or "full",
-                runs=len(slice_runs),
-            )
-        )
+    with telemetry.span("plan.execute", plan=plan_fp, runs=len(runs)):
         executed_before = telemetry.counter("engine.runs_executed")
-        for group in _group_by_options(slice_runs).values():
+        for group in _group_by_options(runs).values():
             session = SimulationSession(
                 chip,
                 group[0].run.options,
@@ -151,24 +117,14 @@ def execute_plan(
                 [list(entry.run.mapping) for entry in group],
                 [entry.run.tag for entry in group],
             )
-            finished = []
             for entry, result in zip(group, results):
                 report.results[entry.fingerprint] = result
                 if isinstance(result, RunFailure):
                     report.failed += 1
-                else:
-                    finished.append(run_point_id(entry.fingerprint))
-            if manifest is not None:
-                manifest.mark_many_complete(finished)
         report.executed = (
             telemetry.counter("engine.runs_executed") - executed_before
         )
         report.replayed = report.runs - report.executed - report.failed
-        if manifest is not None:
-            manifest.mark_complete(
-                f"shard:{shard_label or 'full'}", meta=report.summary()
-            )
-    telemetry.emit("shard.completed", **report.summary())
     return report
 
 

@@ -9,19 +9,14 @@ family fingerprint.
 Dedup semantics: run fingerprints embed the chip identity, so two
 members can never share a run — dedup happens *within* each member
 (cross-figure sharing still collapses there), and the family totals are
-honest sums.  Sharding, by contrast, is **global**: a
-:class:`~repro.plan.shard.ShardSpec` partitions runs by content
-fingerprint alone, so shard ``i/N`` of the family is the union of shard
-``i/N`` of every member — any host can execute any slice of any member
-with no coordination beyond agreeing on ``N``, exactly as in the
-single-chip case.
+honest sums.
 
 Execution (:func:`execute_family`) visits members in family order and
-drives each member's slice through :func:`~repro.plan.execute.
+drives each member's plan through :func:`~repro.plan.execute.
 execute_plan` on that member's chip — sessions are grouped by chip
 fingerprint by construction, and the default member's execution is
-byte-identical to a standalone single-chip run (same cache keys, same
-manifest points).
+byte-identical to a standalone single-chip run (same cache keys).  A
+family fans out within each member's sessions (``--jobs``).
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ from typing import Callable, Sequence
 
 from ..chips import ChipFamily, ChipSpec, build_chip
 from ..engine.cache import ResultCache, global_cache
-from ..engine.campaign import CampaignManifest
 from ..engine.executor import Executor, make_executor
 from ..engine.fingerprint import content_key
 from ..engine.resilience import RetryPolicy
@@ -39,7 +33,6 @@ from ..errors import ConfigError
 from ..obs import Telemetry, get_telemetry
 from .execute import ExecutionReport, execute_plan
 from .planner import CampaignPlan
-from .shard import ShardSpec
 
 __all__ = ["FamilyMember", "FamilyCampaign", "FamilyReport", "execute_family"]
 
@@ -143,20 +136,6 @@ class FamilyCampaign:
             )
         )
 
-    # -- sharding -------------------------------------------------------
-    def shard_sizes(self, count: int) -> list[int]:
-        """Aggregate run counts per shard of an ``N``-way global split
-        (the union over members of each member's shard)."""
-        sizes = [0] * count
-        for entry in self.members:
-            for index, size in enumerate(entry.plan.shard_sizes(count)):
-                sizes[index] += size
-        return sizes
-
-    def shard_runs(self, spec: ShardSpec | None) -> int:
-        """Unique runs the global shard *spec* owns across the family."""
-        return sum(len(entry.plan.shard(spec)) for entry in self.members)
-
     # -- reporting ------------------------------------------------------
     def summary(self) -> dict:
         """JSON-friendly digest (what ``repro-noise family plan``
@@ -184,11 +163,10 @@ class FamilyCampaign:
 
 @dataclass
 class FamilyReport:
-    """What executing (a shard of) a family campaign did, per member."""
+    """What executing a family campaign did, per member."""
 
     family: str
     fingerprint: str
-    shard: str | None
     reports: dict[str, ExecutionReport] = field(default_factory=dict)
 
     @property
@@ -211,7 +189,6 @@ class FamilyReport:
         return {
             "family": self.family,
             "fingerprint": self.fingerprint,
-            "shard": self.shard,
             "runs": self.runs,
             "executed": self.executed,
             "replayed": self.replayed,
@@ -226,41 +203,32 @@ class FamilyReport:
 def execute_family(
     campaign: FamilyCampaign,
     *,
-    shard: ShardSpec | None = None,
     cache: ResultCache | None = None,
-    executor: Executor | str | None = None,
+    executor: Executor | None = None,
     jobs: int | None = None,
     retry: RetryPolicy | None = None,
     on_failure: str = "raise",
-    manifest_for: Callable[[FamilyMember], CampaignManifest | None]
-    | None = None,
     telemetry: Telemetry | None = None,
 ) -> FamilyReport:
-    """Execute the global *shard* of *campaign* across every member.
+    """Execute *campaign* across every member.
 
     Members run in family order, one :func:`execute_plan` call each, on
     the member's memoized chip — execution sessions are therefore
     grouped by chip fingerprint, and all members share one result cache
     and one executor (run fingerprints embed the chip, so the shared
-    cache cannot cross-contaminate).  *manifest_for* (optional) maps a
-    member to its own :class:`CampaignManifest`; manifests are
-    per-member because a manifest binds one campaign identity.
+    cache cannot cross-contaminate).
     """
     telemetry = telemetry or get_telemetry()
     cache = cache if cache is not None else global_cache()
-    if isinstance(executor, (str, type(None))):
-        executor = make_executor(executor, jobs)
+    if executor is None:
+        executor = make_executor(jobs)
 
     family_fp = campaign.fingerprint()
-    shard_label = str(shard) if shard is not None else None
-    report = FamilyReport(
-        family=campaign.family, fingerprint=family_fp, shard=shard_label
-    )
+    report = FamilyReport(family=campaign.family, fingerprint=family_fp)
     with telemetry.span(
         "family.execute",
         family=campaign.family,
         fingerprint=family_fp,
-        shard=shard_label or "full",
         members=len(campaign.members),
     ):
         for entry in campaign.members:
@@ -268,12 +236,10 @@ def execute_family(
             report.reports[entry.name] = execute_plan(
                 entry.plan,
                 chip,
-                shard=shard,
                 cache=cache,
                 executor=executor,
                 retry=retry,
                 on_failure=on_failure,
-                manifest=manifest_for(entry) if manifest_for else None,
                 telemetry=telemetry,
             )
     telemetry.emit("family.completed", **report.summary())

@@ -9,8 +9,8 @@ union by content fingerprint, and the Fig. 7a/9 frequency-sweep sharing
 and the Fig. 11/13a ΔI-dataset sharing fall out as countable dedup
 savings instead of cache accidents.
 
-The merged :class:`CampaignPlan` is what the sharder slices and the
-executor runs; its summary is what ``repro-noise plan`` prints.
+The merged :class:`CampaignPlan` is what the executor runs and the
+fleet leases out; its summary is what ``repro-noise plan`` prints.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 
 from ..engine.fingerprint import content_key
 from ..errors import ConfigError
-from .shard import ShardSpec
 from .spec import PlannedRun, RunPlan
 
 __all__ = ["UniqueRun", "CampaignPlan"]
@@ -106,8 +105,8 @@ class CampaignPlan:
     def fingerprint(self) -> str:
         """Content address of the deduplicated campaign (sorted run
         fingerprints over the chip identity) — the identity recorded in
-        shard manifests so merges can refuse mixed campaigns, stable
-        across processes and platforms."""
+        campaign manifests so the fleet fold can refuse mixed
+        campaigns, stable across processes and platforms."""
         return content_key(self.chip_fp, sorted(self.unique))
 
     def remaining(self, completed: Iterable[str]) -> list[UniqueRun]:
@@ -116,7 +115,7 @@ class CampaignPlan:
 
         *completed* holds finished point ids as a campaign manifest
         records them — either the bare run fingerprint or the
-        ``run:<fingerprint>`` form the executor checkpoints — so a
+        ``run:<fingerprint>`` form fleet workers checkpoint — so a
         manifest's ``completed`` set can be passed straight in.
         """
         done = set()
@@ -131,32 +130,15 @@ class CampaignPlan:
             and f"run:{entry.fingerprint}" not in done
         ]
 
-    # -- sharding -------------------------------------------------------
-    def shard(self, spec: ShardSpec | None) -> list[UniqueRun]:
-        """The unique runs shard *spec* owns (everything when ``None``),
-        in first-request order."""
-        runs = list(self.unique.values())
-        if spec is None:
-            return runs
-        return [run for run in runs if spec.owns(run.fingerprint)]
-
-    def shard_sizes(self, count: int) -> list[int]:
-        """Run counts per shard for an ``N``-way split."""
-        sizes = [0] * count
-        for fingerprint in self.unique:
-            sizes[ShardSpec.partition(fingerprint, count)] += 1
-        return sizes
-
     # -- reporting ------------------------------------------------------
     def estimate_seconds(
         self,
         mean_run_s: float | None,
         jobs: int = 1,
-        shard: ShardSpec | None = None,
         workers: int = 1,
     ) -> float | None:
-        """Estimated cold wall-clock of (a shard of) this campaign,
-        from a measured mean per-run latency (the ``engine.run.seconds``
+        """Estimated cold wall-clock of this campaign, from a measured
+        mean per-run latency (the ``engine.run.seconds``
         histogram of a previous campaign); ``None`` without a baseline.
         *jobs* is intra-process parallelism, *workers* the fleet size —
         a fleet of W workers at J jobs each divides the serial wall
@@ -166,7 +148,7 @@ class CampaignPlan:
         if mean_run_s is None:
             return None
         parallelism = max(jobs, 1) * max(workers, 1)
-        return len(self.shard(shard)) * mean_run_s / parallelism
+        return self.total_unique * mean_run_s / parallelism
 
     def summary(self) -> dict:
         """JSON-friendly digest (what ``repro-noise plan`` renders and

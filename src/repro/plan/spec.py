@@ -8,8 +8,8 @@ the declarative form of a sweep or an experiment driver's workload.
 
 Plans are *fingerprintable*: every planned run has the same content
 address (:func:`repro.engine.fingerprint.run_fingerprint`) the engine
-cache uses at execution time, so the planner can count, deduplicate,
-shard and cost a campaign **before** a single PDN solve happens — and
+cache uses at execution time, so the planner can count, deduplicate
+and cost a campaign **before** a single PDN solve happens — and
 the executed campaign provably runs exactly the planned set.
 """
 

@@ -198,7 +198,7 @@ class SimulationService:
         default_options: RunOptions | None = None,
         *,
         cache: ResultCache | None = None,
-        executor: Executor | str | None = None,
+        executor: Executor | None = None,
         jobs: int | None = None,
         retry: RetryPolicy | None = None,
         faults: object = _UNSET,
@@ -227,8 +227,8 @@ class SimulationService:
         self.chip_fp = content_key(chip_identity(chip.config, chip.chip_id))
         self.default_options = default_options or RunOptions()
         self.cache = cache if cache is not None else global_cache()
-        if isinstance(executor, (str, type(None))):
-            executor = make_executor(executor, jobs)
+        if executor is None:
+            executor = make_executor(jobs)
         self.executor = executor
         self.retry = retry or RetryPolicy.from_env()
         self._faults = faults

@@ -31,7 +31,7 @@ def collect_session(chip, telemetry, events=None):
         chip,
         RunOptions(segments=2, base_samples=1024),
         cache=ResultCache(telemetry=telemetry),
-        executor="serial",
+        jobs=1,
         retry=NO_RETRY,
         on_failure="collect",
         faults=PERMANENT_FAULTS,
@@ -72,7 +72,7 @@ class TestCollectModeFrequencySweep:
             chip,
             RunOptions(segments=2, base_samples=1024),
             cache=ResultCache(telemetry=telemetry),
-            executor="serial",
+            jobs=1,
             retry=NO_RETRY,
             on_failure="raise",
             faults=PERMANENT_FAULTS,

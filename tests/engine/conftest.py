@@ -31,6 +31,6 @@ def session(chip, telemetry):
         chip,
         RunOptions(segments=2, base_samples=1024),
         cache=ResultCache(telemetry=telemetry),
-        executor="serial",
+        jobs=1,
         telemetry=telemetry,
     )

@@ -84,7 +84,7 @@ class TestInterruptedSession:
             cache=ResultCache(
                 cache_dir=tmp_path, telemetry=first_telemetry
             ),
-            executor="serial",
+            jobs=1,
             faults=FaultPlan(seed=5, abort_after=3),
             telemetry=first_telemetry,
         )
@@ -102,7 +102,7 @@ class TestInterruptedSession:
             cache=ResultCache(
                 cache_dir=tmp_path, telemetry=resumed_telemetry
             ),
-            executor="serial",
+            jobs=1,
             faults=None,
             telemetry=resumed_telemetry,
         )

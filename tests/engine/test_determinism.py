@@ -42,7 +42,7 @@ def test_serial_and_process_runs_are_bit_identical(chip):
     serial = SimulationSession(
         chip, options,
         cache=ResultCache(telemetry=Telemetry()),
-        executor="serial", telemetry=Telemetry(),
+        jobs=1, telemetry=Telemetry(),
     )
     process = SimulationSession(
         chip, options,
@@ -85,7 +85,7 @@ def test_fault_injected_sweep_is_bit_identical_to_fault_free(chip, tmp_path):
     reference = SimulationSession(
         chip, options,
         cache=ResultCache(telemetry=Telemetry()),
-        executor="serial", faults=None, telemetry=Telemetry(),
+        jobs=1, faults=None, telemetry=Telemetry(),
     ).run_many(mappings, tags)
 
     reset_fault_memo()
@@ -118,7 +118,7 @@ def test_fault_injected_sweep_is_bit_identical_to_fault_free(chip, tmp_path):
     replayed = SimulationSession(
         chip, options,
         cache=ResultCache(cache_dir=cache_dir, telemetry=replay_telemetry),
-        executor="serial", faults=None, telemetry=replay_telemetry,
+        jobs=1, faults=None, telemetry=replay_telemetry,
     ).run_many(mappings, tags)
     assert replay_telemetry.counter("engine.cache.quarantined") == 2
     assert replay_telemetry.counter("engine.runs_executed") == 2

@@ -1,5 +1,5 @@
-"""Executor backend tests: selection, chunking, order preservation,
-guarded mapping and pool degradation."""
+"""Executor backend tests: selection by job count, chunking, guarded
+mapping and pool degradation."""
 
 import os
 
@@ -9,7 +9,6 @@ from repro.engine.executor import (
     ProcessExecutor,
     SerialExecutor,
     chunked,
-    default_executor_name,
     make_executor,
     resolve_jobs,
 )
@@ -85,7 +84,7 @@ class TestJobResolution:
 
     def test_machine_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs() >= 1
+        assert resolve_jobs() == 1
 
     @pytest.mark.parametrize("bad", ["0", "-2", "two"])
     def test_bad_env_rejected(self, monkeypatch, bad):
@@ -99,63 +98,45 @@ class TestJobResolution:
 
 
 class TestSelection:
+    """The job count is the only knob: one job is serial, more is a
+    process pool."""
+
     def test_serial_is_the_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert isinstance(make_executor(), SerialExecutor)
 
     def test_env_selects_process(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
         monkeypatch.setenv("REPRO_JOBS", "2")
         executor = make_executor()
         assert isinstance(executor, ProcessExecutor)
         assert executor.jobs == 2
 
-    def test_explicit_name_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        assert isinstance(make_executor("serial"), SerialExecutor)
+    def test_explicit_jobs_win_over_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        assert isinstance(make_executor(1), SerialExecutor)
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        assert make_executor(3).jobs == 3
 
-    def test_unknown_names_rejected(self, monkeypatch):
+    def test_bad_job_counts_rejected(self, monkeypatch):
         with pytest.raises(ConfigError):
-            make_executor("threads")
-        monkeypatch.setenv("REPRO_EXECUTOR", "gpu")
-        with pytest.raises(ConfigError):
+            make_executor(0)
+        monkeypatch.setenv("REPRO_JOBS", "gpu")
+        with pytest.raises(ConfigError, match="REPRO_JOBS"):
             make_executor()
 
 
 class TestEnvEdgeCases:
     def test_whitespace_jobs_env_means_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "   ")
-        assert resolve_jobs() == (os.cpu_count() or 1)
+        assert resolve_jobs() == 1
 
     def test_padded_jobs_env_parses(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", " 4 ")
         assert resolve_jobs() == 4
 
     def test_whitespace_executor_env_means_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "   ")
-        assert default_executor_name() == "serial"
-
-    def test_executor_env_is_case_insensitive(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", " Process ")
-        assert default_executor_name() == "process"
-
-    def test_invalid_executor_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "gpu")
-        with pytest.raises(ConfigError, match="REPRO_EXECUTOR"):
-            default_executor_name()
-
-
-class TestMapping:
-    def test_serial_map_preserves_order(self):
-        assert SerialExecutor().map(square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_process_map_matches_serial(self):
-        executor = ProcessExecutor(jobs=2)
-        items = list(range(11))
-        assert executor.map(square, items) == [square(i) for i in items]
-
-    def test_process_map_empty(self):
-        assert ProcessExecutor(jobs=2).map(square, []) == []
+        monkeypatch.setenv("REPRO_JOBS", "   ")
+        assert isinstance(make_executor(), SerialExecutor)
 
 
 NO_RETRY = RetryPolicy(max_retries=0, backoff_base_s=0.0)
@@ -214,10 +195,10 @@ class TestPoolDegradation:
         # broken pool and finish the batch serially itself.
         telemetry = get_telemetry()
         before = telemetry.counter("engine.pool.degraded_to_serial")
-        results = ProcessExecutor(jobs=2).map(
-            _CrashInWorker(), list(range(6))
+        outcomes = ProcessExecutor(jobs=2).map_guarded(
+            _CrashInWorker(), list(range(6)), NO_RETRY
         )
-        assert results == [i * i for i in range(6)]
+        assert [o.value for o in outcomes] == [i * i for i in range(6)]
         assert telemetry.counter("engine.pool.degraded_to_serial") > before
 
     def test_map_guarded_survives_dead_workers(self):
@@ -238,9 +219,3 @@ class TestPoolDegradation:
         )
         assert [o.value for o in outcomes] == [2, 3, 4, 5]
         assert all(o.ok for o in outcomes)
-
-    def test_plain_run_exceptions_still_propagate(self):
-        # Degradation is for infrastructure faults only: an exception
-        # raised by the mapped function itself must surface unchanged.
-        with pytest.raises(ValueError, match="cursed"):
-            ProcessExecutor(jobs=2).map(fail_on_two, list(range(6)))

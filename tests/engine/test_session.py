@@ -132,7 +132,7 @@ class TestOneSolvePath:
                 chip,
                 RunOptions(segments=1, base_samples=512),
                 cache=ResultCache(telemetry=telemetry),
-                executor="serial",
+                jobs=1,
                 faults=None,
                 telemetry=telemetry,
             ).run_many(self.MAPPINGS[:2])

@@ -61,6 +61,44 @@ class TestCli:
         assert "resonant bands" in out
 
 
+class TestJobCount:
+    """``--jobs`` / ``$REPRO_JOBS`` is the one executor knob: resolved
+    and validated once, before anything runs, on every command path."""
+
+    @staticmethod
+    def _single_error(capsys) -> str:
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error:")
+        return err[0]
+
+    def test_zero_jobs_exits_2(self, capsys):
+        assert main(["--quick", "--jobs", "0", "run", "table1"]) == 2
+        assert "jobs" in self._single_error(capsys)
+
+    def test_jobs_env_alone_selects_the_pool(self, monkeypatch, capsys):
+        from repro import cli
+        from repro.engine import ProcessExecutor
+
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        executors = []
+
+        def driver(context):
+            executors.append(context.session.executor)
+            return "ok"
+
+        monkeypatch.setattr(cli, "get_experiment", lambda _: driver)
+        assert main(["--quick", "run", "table1"]) == 0
+        (executor,) = executors
+        assert isinstance(executor, ProcessExecutor)
+        assert executor.jobs == 2
+
+    def test_bad_jobs_env_fails_plan_cleanly(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", "two")
+        assert main(["--quick", "plan", "fig7a"]) == 2
+        assert "REPRO_JOBS" in self._single_error(capsys)
+
+
 class TestMetricsPlaneCli:
     def test_parser_accepts_new_observability_flags(self):
         parser = build_parser()

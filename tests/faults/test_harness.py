@@ -73,12 +73,14 @@ class TestSerialInjection:
         assert all(o.attempts == FAST_RETRY.max_retries + 1 for o in outcomes)
 
     def test_crash_in_main_process_raises_not_exits(self):
-        # A crash fault must never genuinely kill the main process.
+        # A crash fault must never genuinely kill the main process: in
+        # the parent it raises InjectedCrash, which the guard records.
         executor = FaultyExecutor(
             SerialExecutor(), FaultPlan(seed=1, crash_rate=1.0, transient=False)
         )
-        with pytest.raises(InjectedCrash):
-            executor.map(identity, [1])
+        (outcome,) = executor.map_guarded(identity, [1], FAST_RETRY)
+        assert not outcome.ok
+        assert outcome.failure.error_type == InjectedCrash.__name__
 
     def test_hang_is_caught_by_watchdog_then_retried(self):
         executor = FaultyExecutor(
@@ -100,12 +102,14 @@ class TestSerialInjection:
             SerialExecutor(), FaultPlan(seed=1, abort_after=2)
         )
         with pytest.raises(KeyboardInterrupt):
-            executor.map(counting, [1, 2, 3, 4])
+            executor.map_guarded(counting, [1, 2, 3, 4], FAST_RETRY)
         assert counting.calls == 2  # the interrupt landed on call #2
 
     def test_inactive_plan_is_transparent(self):
         executor = FaultyExecutor(SerialExecutor(), FaultPlan(seed=1))
-        assert executor.map(identity, [1, 2]) == [1, 2]
+        outcomes = executor.map_guarded(identity, [1, 2], FAST_RETRY)
+        assert [o.value for o in outcomes] == [1, 2]
+        assert all(o.attempts == 1 for o in outcomes)
         assert executor.name == "faulty+serial"
         assert executor.jobs == 1
 

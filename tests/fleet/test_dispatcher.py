@@ -17,6 +17,7 @@ from repro.engine import CampaignManifest, ResultCache
 from repro.engine.campaign import MANIFEST_NAME
 from repro.errors import ConfigError
 from repro.fleet import FleetDispatcher, FleetWorker
+from repro.fleet import dispatcher as dispatcher_module
 from repro.obs import Telemetry
 from repro.plan import run_point_id
 
@@ -137,6 +138,45 @@ class TestSpawnCommand:
             "--worker-id", "w0",
             "--workdir", str(dispatcher.worker_dir("w0")),
         ]
+
+
+class TestSpawnEnvironment:
+    """Each worker is a fresh interpreter whose BLAS would start one
+    thread per core; the fleet pins it to one unless the user chose."""
+
+    def _spawned_env(self, campaign, chip, tmp_path, monkeypatch) -> dict:
+        captured: dict = {}
+
+        class _FakePopen:
+            pid = 4242
+
+            def __init__(self, command, **kwargs):
+                captured.update(kwargs["env"])
+
+        monkeypatch.setattr(dispatcher_module.subprocess, "Popen", _FakePopen)
+        dispatcher = make_dispatcher(campaign, chip, tmp_path)
+        try:
+            dispatcher._spawn("w0", 0)
+        finally:
+            for log in dispatcher._logs:
+                log.close()
+        return captured
+
+    def test_blas_defaults_to_one_thread(self, campaign, tiny_context,
+                                         tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        env = self._spawned_env(
+            campaign, tiny_context.chip, tmp_path, monkeypatch
+        )
+        assert env["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_exported_blas_threads_are_kept(self, campaign, tiny_context,
+                                            tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        env = self._spawned_env(
+            campaign, tiny_context.chip, tmp_path, monkeypatch
+        )
+        assert env["OPENBLAS_NUM_THREADS"] == "3"
 
 
 class TestFold:

@@ -70,7 +70,7 @@ class TestWorkerLoop:
         cached payloads are byte-for-byte the serial execution's."""
         serial = ResultCache(cache_dir=tmp_path / "serial")
         report = execute_plan(
-            campaign, tiny_context.chip, cache=serial, executor="serial"
+            campaign, tiny_context.chip, cache=serial, jobs=1
         )
         assert report.executed == campaign.total_unique
         worker = make_worker(campaign, tiny_context.chip, tmp_path)
@@ -208,11 +208,11 @@ class TestServeProbe:
         telemetry = Telemetry()
         warm = ResultCache(cache_dir=tmp_path / "serve-cache")
         execute_plan(
-            campaign, tiny_context.chip, cache=warm, executor="serial"
+            campaign, tiny_context.chip, cache=warm, jobs=1
         )
         service = SimulationService(
             tiny_context.chip, tiny_context.options,
-            cache=warm, executor="serial", telemetry=Telemetry(),
+            cache=warm, jobs=1, telemetry=Telemetry(),
         )
         server, thread = start_server(service, port=0)
         try:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
+import repro
 from repro.obs import (
     EVENT_TYPES,
     EventLog,
@@ -104,6 +107,19 @@ class TestValidation:
             if event == "span":
                 record.update(name="s", span_id=1, start_s=0.0, dur_s=0.0)
             assert validate_event(record) == []
+
+    def test_schema_is_exactly_the_emitted_types(self):
+        """Every ``.emit("<type>"`` literal in the package is declared,
+        and every declared type still has an emitter — an event and its
+        emitter are added and removed together."""
+        pattern = re.compile(r'\.emit\(\s*"([^"]+)"')
+        emitted = {
+            match.group(1)
+            for path in Path(repro.__file__).parent.rglob("*.py")
+            for match in pattern.finditer(path.read_text(encoding="utf-8"))
+        }
+        assert sorted(emitted - EVENT_TYPES) == []  # emitted, undeclared
+        assert sorted(EVENT_TYPES - emitted) == []  # declared, never emitted
 
 
 class TestLogValidation:

@@ -11,8 +11,7 @@ from repro.engine import ResultCache
 from repro.errors import ConfigError
 from repro.experiments import compile_campaign
 from repro.obs import Telemetry
-from repro.plan import execute_plan, run_point_id
-from repro.engine import CampaignManifest
+from repro.plan import execute_plan
 
 FIGURES = ["fig7a", "fig9", "fig11a"]
 
@@ -33,7 +32,7 @@ class TestDedupEqualsExecuted:
             campaign,
             tiny_context.chip,
             cache=ResultCache(telemetry=telemetry),
-            executor="serial",
+            jobs=1,
             telemetry=telemetry,
         )
         assert report.runs == campaign.total_unique
@@ -48,36 +47,14 @@ class TestDedupEqualsExecuted:
         cache = ResultCache(telemetry=telemetry)
         execute_plan(
             campaign, tiny_context.chip, cache=cache,
-            executor="serial", telemetry=telemetry,
+            jobs=1, telemetry=telemetry,
         )
         report = execute_plan(
             campaign, tiny_context.chip, cache=cache,
-            executor="serial", telemetry=telemetry,
+            jobs=1, telemetry=telemetry,
         )
         assert report.executed == 0
         assert report.replayed == campaign.total_unique
-
-
-class TestManifestCheckpointing:
-    def test_run_points_recorded(self, campaign, tiny_context, tmp_path):
-        telemetry = Telemetry()
-        manifest = CampaignManifest(tmp_path / "campaign-manifest.json")
-        report = execute_plan(
-            campaign,
-            tiny_context.chip,
-            cache=ResultCache(telemetry=telemetry),
-            executor="serial",
-            manifest=manifest,
-            telemetry=telemetry,
-        )
-        completed = manifest.completed
-        for fingerprint in report.results:
-            assert run_point_id(fingerprint) in completed
-        assert "shard:full" in completed
-        assert manifest.campaign == {
-            "plan": campaign.fingerprint(), "shard": None,
-        }
-        assert not manifest.lock_path.exists()  # released
 
 
 class TestByWorkerSummary:
@@ -85,7 +62,7 @@ class TestByWorkerSummary:
         from repro.plan.execute import ExecutionReport
 
         report = ExecutionReport(
-            plan="p", shard=None, runs=4, executed=4,
+            plan="p", runs=4, executed=4,
             by_worker={
                 "w1": {"completed": 1, "stolen": 1, "failed": 0},
                 "w0": {"completed": 3, "stolen": 0, "failed": 0},
@@ -99,7 +76,7 @@ class TestByWorkerSummary:
     def test_single_process_summary_stays_lean(self):
         from repro.plan.execute import ExecutionReport
 
-        summary = ExecutionReport(plan="p", shard=None, runs=1).summary()
+        summary = ExecutionReport(plan="p", runs=1).summary()
         assert "by_worker" not in summary
         assert "stolen" not in summary
 

@@ -1,5 +1,5 @@
-"""Family campaigns: per-member compilation, honest accounting, global
-sharding, and execution grouped by chip.
+"""Family campaigns: per-member compilation, honest accounting, and
+execution grouped by chip.
 
 Two constants are pinned as cross-PR regression guards: the quick
 family's fig11a accounting and the default member's plan fingerprint.
@@ -21,12 +21,11 @@ from repro.errors import ConfigError
 from repro.experiments import compile_campaign, compile_family_campaign
 from repro.experiments.common import context_for_spec
 from repro.machine.runner import RunOptions
-from repro.obs import Telemetry
+from repro.obs import EventLog, Telemetry, read_events, validate_event_log
 from repro.plan import (
     CampaignPlan,
     FamilyCampaign,
     RunPlan,
-    ShardSpec,
     execute_family,
 )
 
@@ -78,14 +77,6 @@ class TestQuickFamilyPins:
             for fp in entry.plan.unique
         ]
         assert len(fingerprints) == len(set(fingerprints))
-
-    def test_global_shard_partitions_the_family(self, quick_campaign):
-        sizes = quick_campaign.shard_sizes(2)
-        assert sum(sizes) == quick_campaign.total_unique
-        assert sizes == [
-            quick_campaign.shard_runs(ShardSpec.parse("0/2")),
-            quick_campaign.shard_runs(ShardSpec.parse("1/2")),
-        ]
 
     def test_fingerprint_is_member_order_independent(self, quick_campaign):
         family = get_family("quick")
@@ -153,7 +144,7 @@ class TestExecuteFamily:
         telemetry = Telemetry()
         cache = ResultCache(telemetry=telemetry)
         cold = execute_family(
-            campaign, cache=cache, executor="serial", telemetry=telemetry
+            campaign, cache=cache, jobs=1, telemetry=telemetry
         )
         assert cold.executed == campaign.total_unique == 4
         assert cold.replayed == cold.failed == 0
@@ -162,29 +153,26 @@ class TestExecuteFamily:
             report.executed == 2 for report in cold.reports.values()
         )
         warm = execute_family(
-            campaign, cache=cache, executor="serial", telemetry=telemetry
+            campaign, cache=cache, jobs=1, telemetry=telemetry
         )
         assert warm.executed == 0
         assert warm.replayed == campaign.total_unique
 
-    def test_global_shards_cover_the_family(self, tiny_family):
-        """Executing every global shard is executing the family: the
-        shard union replays the unsharded campaign completely."""
+    def test_traced_run_writes_a_valid_log(self, tiny_family, tmp_path):
+        """``family.completed`` is a declared event type: a traced
+        family run leaves a log the schema check accepts."""
         campaign = FamilyCampaign.compile(tiny_family, _tiny_plan_for)
         telemetry = Telemetry()
-        cache = ResultCache(telemetry=telemetry)
-        executed = 0
-        for index in range(2):
-            report = execute_family(
-                campaign,
-                shard=ShardSpec.parse(f"{index}/2"),
-                cache=cache, executor="serial", telemetry=telemetry,
+        log = EventLog(tmp_path / "events.jsonl")
+        telemetry.enable_tracing(events=log)
+        try:
+            execute_family(
+                campaign, cache=ResultCache(telemetry=telemetry), jobs=1,
+                telemetry=telemetry,
             )
-            assert report.shard == f"{index}/2"
-            executed += report.executed
-        assert executed == campaign.total_unique
-        merged = execute_family(
-            campaign, cache=cache, executor="serial", telemetry=telemetry
-        )
-        assert merged.executed == 0
-        assert merged.replayed == campaign.total_unique
+        finally:
+            log.close()
+        _, errors = validate_event_log(log.path)
+        assert errors == []
+        kinds = {event["event"] for event in read_events(log.path)}
+        assert "family.completed" in kinds

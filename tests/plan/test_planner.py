@@ -1,15 +1,13 @@
-"""Campaign planner: merge, dedup accounting, shard partitioning."""
+"""Campaign planner: merge, dedup accounting, wall-clock estimate."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.machine.chip import ChipConfig
 from repro.machine.runner import RunOptions
-from repro.plan import CampaignPlan, RunPlan, ShardSpec, chip_identity
+from repro.plan import CampaignPlan, RunPlan, chip_identity
 
 from .conftest import square_wave
 
@@ -86,66 +84,3 @@ class TestCompileAndDedup:
         ) == pytest.approx(1.0)
         # Degenerate sizes clamp to serial rather than dividing by zero.
         assert campaign.estimate_seconds(3.0, workers=0) == pytest.approx(6.0)
-
-
-class TestSharding:
-    def _campaign(self) -> CampaignPlan:
-        return CampaignPlan.compile(
-            [_plan("fig7a", list(range(1, 7)) + [0])]
-        )
-
-    @pytest.mark.parametrize("count", [1, 2, 3, 5])
-    def test_shards_partition_the_plan(self, count):
-        campaign = self._campaign()
-        seen: list[str] = []
-        for index in range(count):
-            seen.extend(
-                entry.fingerprint
-                for entry in campaign.shard(ShardSpec(index, count))
-            )
-        assert sorted(seen) == sorted(campaign.unique)
-        assert len(seen) == len(set(seen))  # disjoint
-
-    def test_shard_sizes_match_slices(self):
-        campaign = self._campaign()
-        sizes = campaign.shard_sizes(3)
-        assert sizes == [
-            len(campaign.shard(ShardSpec(index, 3))) for index in range(3)
-        ]
-        assert sum(sizes) == campaign.total_unique
-
-    def test_none_shard_is_everything(self):
-        campaign = self._campaign()
-        assert len(campaign.shard(None)) == campaign.total_unique
-
-
-class TestShardSpec:
-    def test_parse_roundtrip(self):
-        spec = ShardSpec.parse("1/3")
-        assert (spec.index, spec.count) == (1, 3)
-        assert str(spec) == "1/3"
-
-    @pytest.mark.parametrize("text", ["", "3", "3/2", "-1/2", "a/b", "1/0"])
-    def test_parse_rejects_bad_specs(self, text):
-        with pytest.raises(ConfigError):
-            ShardSpec.parse(text)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        fingerprint=st.text(alphabet="0123456789abcdef", min_size=16,
-                            max_size=64),
-        count=st.integers(min_value=1, max_value=16),
-    )
-    def test_partition_is_total_and_deterministic(self, fingerprint, count):
-        """Every fingerprint belongs to exactly one shard, and the
-        assignment is a pure function of (fingerprint, count)."""
-        owners = [
-            index
-            for index in range(count)
-            if ShardSpec(index, count).owns(fingerprint)
-        ]
-        assert len(owners) == 1
-        assert owners[0] == ShardSpec.partition(fingerprint, count)
-        assert ShardSpec.partition(fingerprint, count) == ShardSpec.partition(
-            fingerprint, count
-        )

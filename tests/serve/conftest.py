@@ -41,7 +41,7 @@ def service(chip, cheap_options, telemetry):
         chip,
         cheap_options,
         cache=ResultCache(cache_dir=None, telemetry=telemetry),
-        executor="serial",
+        jobs=1,
         telemetry=telemetry,
     ).start()
     yield svc
@@ -70,7 +70,7 @@ def gated_service(chip, cheap_options, telemetry):
         chip,
         cheap_options,
         cache=ResultCache(cache_dir=None, telemetry=telemetry),
-        executor="serial",
+        jobs=1,
         telemetry=telemetry,
     ).start()
     yield svc

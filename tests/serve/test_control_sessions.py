@@ -189,7 +189,7 @@ class TestServiceVerbs:
             chip,
             cheap_options,
             cache=ResultCache(cache_dir=None, telemetry=telemetry),
-            executor="serial",
+            jobs=1,
             telemetry=telemetry,
             max_sessions=1,
         ).start()
@@ -230,7 +230,7 @@ class TestOverTcp:
             chip,
             cheap_options,
             cache=ResultCache(cache_dir=None, telemetry=telemetry),
-            executor="serial",
+            jobs=1,
             telemetry=telemetry,
         )
         server, thread = start_server(service, port=0)

@@ -22,7 +22,7 @@ def disk_service(chip, cheap_options, telemetry, tmp_path):
     svc = SimulationService(
         chip, cheap_options,
         cache=ResultCache(cache_dir=tmp_path / "cache", telemetry=telemetry),
-        executor="serial", telemetry=telemetry,
+        jobs=1, telemetry=telemetry,
     ).start()
     yield svc
     svc.stop()

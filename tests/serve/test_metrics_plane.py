@@ -22,7 +22,7 @@ def manual_service(chip, cheap_options, telemetry):
         chip,
         cheap_options,
         cache=ResultCache(cache_dir=None, telemetry=telemetry),
-        executor="serial",
+        jobs=1,
         telemetry=telemetry,
         window_s=0.0,
     ).start()
@@ -111,7 +111,7 @@ class TestSlo:
         svc = SimulationService(
             chip, cheap_options,
             cache=ResultCache(cache_dir=None, telemetry=telemetry),
-            executor="serial", telemetry=telemetry,
+            jobs=1, telemetry=telemetry,
             window_s=0.0, slo=tight,
         ).start()
         try:
@@ -139,7 +139,7 @@ class TestTicker:
         svc = SimulationService(
             chip, cheap_options,
             cache=ResultCache(cache_dir=None, telemetry=telemetry),
-            executor="serial", telemetry=telemetry,
+            jobs=1, telemetry=telemetry,
             window_s=0.02,
         ).start()
         try:

@@ -30,7 +30,7 @@ def family_service(chip, cheap_options, telemetry, **kwargs):
         chip,
         cheap_options,
         cache=ResultCache(cache_dir=None, telemetry=telemetry),
-        executor="serial",
+        jobs=1,
         telemetry=telemetry,
         **kwargs,
     ).start()

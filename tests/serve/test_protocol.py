@@ -110,7 +110,7 @@ class TestFingerprint:
         request = decode_request(_payload(), options)
         session = SimulationSession(
             chip, request.options,
-            cache=ResultCache(cache_dir=None), executor="serial",
+            cache=ResultCache(cache_dir=None), jobs=1,
         )
         assert request.fingerprint(chip) == session.fingerprint(
             list(request.mapping), request.tag
@@ -148,7 +148,7 @@ def test_encode_result_shape(chip):
     request = decode_request(_payload(), options)
     session = SimulationSession(
         chip, request.options,
-        cache=ResultCache(cache_dir=None), executor="serial",
+        cache=ResultCache(cache_dir=None), jobs=1,
     )
     body = encode_result(session.run(list(request.mapping), request.tag))
     assert set(body) == {"max_p2p", "worst_vmin", "measurements"}

@@ -25,7 +25,7 @@ def endpoint(chip, cheap_options, telemetry):
     service = SimulationService(
         chip, cheap_options,
         cache=ResultCache(cache_dir=None, telemetry=telemetry),
-        executor="serial", telemetry=telemetry,
+        jobs=1, telemetry=telemetry,
     )
     server, thread = start_server(service, port=0)
     yield server, service
@@ -104,7 +104,7 @@ def test_shutdown_request_stops_the_server(chip, cheap_options):
     service = SimulationService(
         chip, cheap_options,
         cache=ResultCache(cache_dir=None, telemetry=telemetry),
-        executor="serial", telemetry=telemetry,
+        jobs=1, telemetry=telemetry,
     )
     server, thread = start_server(service, port=0)
     try:
@@ -121,7 +121,7 @@ def test_shutdown_request_stops_the_server(chip, cheap_options):
 def test_server_exposes_bound_port(chip, cheap_options):
     service = SimulationService(
         chip, cheap_options,
-        cache=ResultCache(cache_dir=None), executor="serial",
+        cache=ResultCache(cache_dir=None), jobs=1,
         telemetry=Telemetry(),
     )
     server = NoiseServer(("127.0.0.1", 0), service)

@@ -63,7 +63,7 @@ class TestTiers:
         svc = SimulationService(
             chip, cheap_options,
             cache=ResultCache(cache_dir=tmp_path, telemetry=telemetry_a),
-            executor="serial", telemetry=telemetry_a,
+            jobs=1, telemetry=telemetry_a,
         ).start()
         first = svc.handle(simulate_payload())
         svc.stop()
@@ -72,7 +72,7 @@ class TestTiers:
         reborn = SimulationService(
             chip, cheap_options,
             cache=ResultCache(cache_dir=tmp_path, telemetry=telemetry_b),
-            executor="serial", telemetry=telemetry_b,
+            jobs=1, telemetry=telemetry_b,
         ).start()
         replay = reborn.handle(simulate_payload())
         reborn.stop()
@@ -145,7 +145,7 @@ class TestBackpressure:
         svc = GatedService(
             chip, cheap_options,
             cache=ResultCache(cache_dir=None, telemetry=telemetry),
-            executor="serial", telemetry=telemetry,
+            jobs=1, telemetry=telemetry,
             queue_limit=1, max_batch=1,
         ).start()
         try:
@@ -249,7 +249,7 @@ class TestDegradation:
         svc = SimulationService(
             chip, cheap_options,
             cache=ResultCache(cache_dir=None, telemetry=telemetry),
-            executor="serial", telemetry=telemetry,
+            jobs=1, telemetry=telemetry,
             faults=FaultPlan(seed=3, crash_rate=1.0, transient=True),
         ).start()
         try:
@@ -270,7 +270,7 @@ class TestDegradation:
         svc = SimulationService(
             chip, cheap_options,
             cache=ResultCache(cache_dir=None, telemetry=telemetry),
-            executor="serial", telemetry=telemetry,
+            jobs=1, telemetry=telemetry,
             faults=FaultPlan(seed=3, exception_rate=1.0, transient=False),
         ).start()
         try:
@@ -352,7 +352,7 @@ class TestValidation:
         svc = GatedService(
             chip, cheap_options,
             cache=ResultCache(cache_dir=None, telemetry=telemetry),
-            executor="serial", telemetry=telemetry, max_batch=4,
+            jobs=1, telemetry=telemetry, max_batch=4,
         ).start()
         try:
             replies: list[dict] = [None] * 3
