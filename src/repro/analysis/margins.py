@@ -56,7 +56,9 @@ def plan_customer_margin_line(
 ) -> RunPlan:
     """The declarative form of :func:`customer_margin_line`."""
     customer = customer_program(max_stressmark, delta_i_fraction)
-    return plan_vmin_experiment(chip, [customer] * 6, options, figure)
+    return plan_vmin_experiment(
+        chip, [customer] * chip.n_cores, options, figure
+    )
 
 
 def customer_margin_line(
@@ -70,10 +72,10 @@ def customer_margin_line(
     """Available margin for the worst-case *customer* code.
 
     Derives the customer workload with :func:`customer_program`, then
-    runs the Vmin protocol on six copies.
+    runs the Vmin protocol on one copy per core.
     """
     customer = customer_program(max_stressmark, delta_i_fraction)
     return run_vmin_experiment(
-        chip, [customer] * 6, runit_config=runit, options=options,
-        session=session,
+        chip, [customer] * chip.n_cores, runit_config=runit,
+        options=options, session=session,
     )

@@ -201,7 +201,8 @@ def _compile_missweep(
         }
         count = 0
         for assignment in offset_assignments(
-            offsets, sample=assignments_sample, seed=generator.seed
+            offsets, n_cores=n_cores, sample=assignments_sample,
+            seed=generator.seed,
         ):
             mappings.append([marks[offset] for offset in assignment])
             tags.append(("missweep", max_mis, count))

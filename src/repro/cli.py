@@ -46,8 +46,7 @@ Subcommands:
   integral-regulator gain sweep (droop/overshoot/settling vs Ki) or an
   adversarial undervolting attack surface, both post-processing one
   cached baseline solve and both asserting the stepping ≡ monolithic
-  bit-identity on every invocation;
-* ``table1 .. fig15`` — shorthand for ``run <id>``.
+  bit-identity on every invocation.
 
 Fan-out: ``--jobs N`` (or ``$REPRO_JOBS``) is the one executor knob —
 at 1 (the default) runs execute serially, above 1 a session's cache
@@ -889,12 +888,15 @@ def _run_plan(args: argparse.Namespace) -> int:
     estimate = campaign.estimate_seconds(mean_run_s, jobs=jobs,
                                          workers=workers)
     if estimate is not None:
-        fleet = (
-            f" x {workers} worker(s){workers_source}" if workers > 1 else ""
+        # Fleet workers run serially whatever --jobs says.
+        at = (
+            f"1 job(s) x {workers} worker(s){workers_source}"
+            if workers > 1
+            else f"{jobs} job(s)"
         )
         print(
             f"est. cold wall clock: ~{_format_seconds(estimate)} at "
-            f"{jobs} job(s){fleet} (mean {source} {mean_run_s:.3g}s over "
+            f"{at} (mean {source} {mean_run_s:.3g}s over "
             f"n={samples}, from {baseline})"
         )
     else:
@@ -903,6 +905,24 @@ def _run_plan(args: argparse.Namespace) -> int:
             "(point --telemetry at a previous campaign's telemetry.json)"
         )
     return 0
+
+
+def _relist_in_index(index_path: Path, experiment_ids: list[str]) -> None:
+    """List again in ``index.json`` the experiments a ``run --resume``
+    skipped, under their exported titles, when an earlier invocation
+    left their artifacts next to it."""
+    import json
+
+    from .ioutil import atomic_write_json
+
+    index = json.loads(index_path.read_text())
+    for experiment_id in experiment_ids:
+        exported = index_path.parent / f"{experiment_id}.json"
+        try:
+            index[experiment_id] = json.loads(exported.read_text())["title"]
+        except (OSError, ValueError, KeyError):
+            continue  # not exported here: nothing to list
+    atomic_write_json(index_path, index)
 
 
 def _member_label(name: str) -> str:
@@ -1751,6 +1771,7 @@ def main(argv: list[str] | None = None) -> int:
 
         manifest = CampaignManifest(campaign_dir / "campaign-manifest.json")
     telemetry = get_telemetry()
+    skipped: list[str] = []
     if args.resume:
         finished = manifest.completed
         skipped = [eid for eid, _ in drivers if eid in finished]
@@ -1829,6 +1850,8 @@ def main(argv: list[str] | None = None) -> int:
             from .experiments.exporter import export_results
 
             index = export_results(results, args.output, telemetry)
+            if skipped:
+                _relist_in_index(index, skipped)
             print(
                 f"exported {len(results)} experiment artifact(s); "
                 f"index: {index}"

@@ -2,11 +2,11 @@
 
 The stack, bottom-up:
 
-* :class:`~repro.pdn.kernels.SteppingSolver` (kernel layer) — windowed
-  evaluation with exact LTI state carry-over;
 * :class:`~repro.engine.stepping.SteppingSession` (engine layer) — the
-  observe/actuate window loop over one mapping run, bit-identical to
-  the monolithic solve when un-actuated;
+  observe/actuate window loop over one mapping run: each segment is
+  solved once by the chip's compiled kernel and stepped as slices of
+  that block, so it is bit-identical to the monolithic solve; the one
+  actuation is the supply bias;
 * :class:`Controller` implementations (this package) — the integral
   power regulator, the paper's dynamic guard-band, and the adversarial
   undervolter;

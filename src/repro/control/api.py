@@ -1,10 +1,10 @@
 """The controller contract of the closed-loop subsystem.
 
 A :class:`Controller` rides a
-:class:`~repro.engine.stepping.SteppingSession`: after every solved
+:class:`~repro.engine.stepping.SteppingSession`: after every stepped
 window it receives the :class:`~repro.engine.stepping.WindowObservation`
 and may answer with an :class:`~repro.engine.stepping.Actuation`, which
-the loop applies before the *next* window is solved — the one-window
+the loop applies before the *next* window is stepped — the one-window
 actuation latency a real management loop has.  ``prime()`` lets a
 controller act before the first window (e.g. an attack aligned to
 window zero).

@@ -99,7 +99,7 @@ def gain_sweep(
     """Droop/overshoot/settling-time vs integral-controller gain.
 
     One stepping session serves every gain (bias-only actuation keeps
-    the solver epoch warm across :meth:`rewind`s).  Returns a JSON-safe
+    the solved segment blocks across :meth:`rewind`s).  Returns a JSON-safe
     dict: per-gain loop summaries plus the stepping ≡ monolithic
     equivalence verdict against *baseline* (computed through *session*
     or a fresh engine session when not supplied).

@@ -3,61 +3,53 @@
 :class:`SteppingSession` is the stateful counterpart of
 :meth:`ChipRunner.execute <repro.machine.runner.ChipRunner.execute>`:
 it builds the same :class:`~repro.machine.runner.StimulusBatch` once,
-then advances the transient solve in fixed-size sample windows.  After
-each window it emits a :class:`WindowObservation` (per-core voltage
+then advances through it in fixed-size sample windows.  After each
+window it emits a :class:`WindowObservation` (per-core voltage
 min/mean/max, utilization, droop events) and accepts an
-:class:`Actuation` (supply-bias change, ΔI throttle) that takes effect
-from the *next* window on — the observe/actuate cycle a closed-loop
-controller (:mod:`repro.control`) runs.
+:class:`Actuation` (a supply-bias change) that takes effect from the
+*next* window on — the observe/actuate cycle a closed-loop controller
+(:mod:`repro.control`) runs.
 
 **Exact continuation invariant.**  Stepping is not an approximation:
-the windowed solve carries the full LTI state between steps (see
-:class:`~repro.pdn.kernels.SteppingSolver`), so stitching the emitted
-windows back together is *bit-identical* to the monolithic kernel
-solve — and :meth:`SteppingSession.result` reproduces
-:meth:`ChipRunner.execute <repro.machine.runner.ChipRunner.execute>`
-byte for byte (measurements, waveforms, exports) when no actuation was
-applied.  Both facts are pinned at tolerance **zero** by the control
+each segment is solved once, whole, through
+:meth:`CompiledChipKernel.evaluate
+<repro.pdn.kernels.CompiledChipKernel.evaluate>`, and its windows are
+slices of that block, so stitching the emitted windows back together is
+*bit-identical* to the monolithic kernel solve.  At the end,
+:meth:`SteppingSession.result` hands the sticky state accumulated over
+the windows to :meth:`ChipRunner.measure
+<repro.machine.runner.ChipRunner.measure>`, the readout
+:meth:`~repro.machine.runner.ChipRunner.execute` ends in too, and so
+reproduces the monolithic run byte for byte (measurements, waveforms,
+exports).  Both facts are pinned at tolerance **zero** by the control
 test suite and the ``control-smoke`` CI job.
 
-**Actuation model.**  The PDN is linear, so a supply-bias change is a
-pure offset: observed absolute voltages shift by ``(bias − 1)·Vnom``
-while the deviation waveforms — and therefore the carried solver state
-— are untouched.  That is what makes a controller gain sweep cheap:
-:meth:`rewind` restarts the loop on the same solved waveforms.  A
-*throttle* actuation instead rewrites future ΔI edges (scales their
-deltas); samples before the first rewritten edge are unaffected (a
-ramp response is zero before its edge), so emitted windows remain the
-truth of the actuated history and the solver merely starts a new train
-epoch.
+**Actuation model.**  The one knob is the supply voltage, as in the
+paper's Vmin protocol and guard-banding.  The PDN is linear, so a
+supply-bias change is a pure offset: observed absolute voltages shift
+by ``(bias − 1)·Vnom`` while the deviation waveforms are untouched.
+That is what makes a controller gain sweep cheap: :meth:`rewind`
+restarts the loop on the same solved waveforms.
 
-Fault injection: passing a :class:`~repro.faults.FaultPlan` routes
-every *cold* window solve (one per segment per train epoch) through
-the plan with bounded retry, so the determinism suite can prove the
-partition invariant holds under injected crashes/exceptions too.
+Fault injection: passing a :class:`~repro.faults.FaultPlan` routes each
+segment's one solve through the plan with bounded retry, so the
+determinism suite can prove the partition invariant holds under
+injected crashes/exceptions too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import ConfigError, ControlError, ExecutionError
 from ..machine.chip import Chip
-from ..machine.runner import (
-    ChipRunner,
-    CoreMeasurement,
-    RunOptions,
-    RunResult,
-    WAVEFORM_EXTRA_NODES,
-)
+from ..machine.runner import ChipRunner, RunOptions, RunResult
 from ..machine.system import ServiceElement, VOLTAGE_STEP
 from ..machine.workload import CurrentProgram
 from ..obs import Telemetry, get_telemetry
-from ..pdn.kernels import SteppingSolver
-from ..pdn.superposition import EdgeTrain
 from .resilience import RetryPolicy, guarded_call
 
 __all__ = ["Actuation", "WindowObservation", "SteppingSession"]
@@ -72,23 +64,20 @@ DROOP_EVENT_FRAC = 0.03
 
 @dataclass(frozen=True)
 class Actuation:
-    """One control decision, applied before the next window is solved.
+    """One control decision, applied before the next window is stepped.
 
     ``bias_steps`` sets the supply bias in whole 0.5 % steps of nominal
     (negative = undervolt), through the same quantized
     :class:`~repro.machine.system.ServiceElement` surface the Vmin
-    protocol drives.  ``throttle`` scales the ΔI of *future* edges —
-    a scalar applies to every core, a ``{core: factor}`` dict to
-    specific ones.  ``None`` fields leave the corresponding knob alone.
+    protocol drives; ``None`` leaves the bias alone.
     """
 
     bias_steps: int | None = None
-    throttle: float | dict[int, float] | None = None
     note: str = ""
 
     @property
     def is_noop(self) -> bool:
-        return self.bias_steps is None and self.throttle is None
+        return self.bias_steps is None
 
 
 @dataclass(frozen=True)
@@ -148,8 +137,8 @@ class SteppingSession:
         Windows each observation segment is divided into (clamped per
         segment so no window is empty).
     faults / retry:
-        Optional :class:`~repro.faults.FaultPlan` injected into every
-        cold window solve, absorbed by *retry* (default
+        Optional :class:`~repro.faults.FaultPlan` injected into each
+        segment's one solve, absorbed by *retry* (default
         :class:`~repro.engine.resilience.RetryPolicy`).
     droop_threshold_frac:
         Fraction of nominal below which an excursion counts as a droop
@@ -202,8 +191,7 @@ class SteppingSession:
             for w in range(len(self._bounds[s]) - 1)
         ]
 
-        # Per-segment activity index: each core's edge instants (stable
-        # under throttle, which rescales deltas only).
+        # Per-segment activity index: each core's edge instants.
         port_to_core = {port: i for i, port in enumerate(chip.core_ports)}
         self._core_edges: list[dict[int, np.ndarray]] = [
             {
@@ -213,20 +201,15 @@ class SteppingSession:
             for segment in self.batch.segments
         ]
 
-        self._solvers: list = [None] * len(self.batch.segments)
-        self._original_trains = [
-            list(segment.trains) for segment in self.batch.segments
-        ]
-        self._original_coherent = [
-            list(segment.coherent) for segment in self.batch.segments
-        ]
+        # Each segment's core-node deviation block, solved on first use.
+        self._blocks: list[np.ndarray | None] = [None] * len(
+            self.batch.segments
+        )
         self._reset_loop_state()
 
     # -- loop state -----------------------------------------------------
     def _reset_loop_state(self) -> None:
         self._cursor = 0
-        self._trains = [list(trains) for trains in self._original_trains]
-        self._coherent = [list(c) for c in self._original_coherent]
         self._sticky = [
             {"v_min": np.inf, "v_max": -np.inf, "coherent": 0.0}
             for _ in range(self.chip.n_cores)
@@ -235,10 +218,10 @@ class SteppingSession:
         self._observations: list[WindowObservation] = []
 
     def rewind(self) -> None:
-        """Restart the loop: cursor, sticky state, bias and edge trains
-        return to their initial values.  Solver state survives — an
-        un-throttled replay (e.g. the next gain of a controller sweep)
-        re-steps the already-solved waveforms at slice cost."""
+        """Restart the loop: cursor, sticky state and bias return to
+        their initial values.  The solved segment blocks survive, so a
+        replay (e.g. the next gain of a controller sweep) re-steps the
+        already-solved waveforms at slice cost."""
         self._reset_loop_state()
         self.telemetry.increment("control.rewinds")
 
@@ -272,36 +255,35 @@ class SteppingSession:
         return list(self._observations)
 
     # -- solve plumbing -------------------------------------------------
-    def _solver(self, seg: int) -> SteppingSolver:
-        if self._solvers[seg] is None:
-            self._solvers[seg] = SteppingSolver(
-                self._kernel,
-                self.batch.segments[seg].samples,
-                self._core_nodes,
-            )
-        return self._solvers[seg]
+    def _segment_rows(self, seg: int) -> np.ndarray:
+        """Core-node deviation block of segment *seg*: solved once on
+        first use (through the fault plan, with retry, when one is
+        set) and kept for every later window and rewind."""
+        block = self._blocks[seg]
+        if block is None:
+            block = self._blocks[seg] = self._solve_segment(seg)
+        return block
 
-    def _window_rows(self, seg: int, lo: int, hi: int):
-        """Per-core deviation rows of ``samples[lo:hi]`` of *seg*,
-        routed through the fault plan (with retry) on cold epochs."""
-        solver = self._solver(seg)
-        trains = self._trains[seg]
-        if self.faults is None or solver.is_warm(trains):
-            return solver.solve_window(trains, lo, hi)
+    def _solve_segment(self, seg: int) -> np.ndarray:
+        segment = self.batch.segments[seg]
+
+        def solve(_item=None) -> np.ndarray:
+            return self._kernel.evaluate(
+                segment.trains, segment.samples, nodes=self._core_nodes
+            )
+
+        if self.faults is None:
+            return solve()
         from ..faults.harness import _FaultyFn, fault_key
 
         token = f"control.solve:{self.run_tag}:{seg}"
-        faulty = _FaultyFn(
-            self.faults,
-            lambda item: solver.solve_window(trains, lo, hi),
-            fault_key,
-        )
+        faulty = _FaultyFn(self.faults, solve, fault_key)
         outcome = guarded_call(
             faulty, (token,), self.retry, label=("control.solve", seg)
         )
         if outcome.failure is not None:
             raise ExecutionError(
-                f"window solve for segment {seg} failed after "
+                f"solve of segment {seg} failed after "
                 f"{outcome.attempts} attempts",
                 [outcome.failure],
             )
@@ -311,77 +293,22 @@ class SteppingSession:
             )
         return outcome.value
 
-    # -- actuation ------------------------------------------------------
-    def _apply(self, actuation: Actuation) -> None:
-        if actuation.bias_steps is not None:
-            self._service.set_bias_steps(int(actuation.bias_steps))
-        if actuation.throttle is not None:
-            self._apply_throttle(actuation.throttle)
-        if not actuation.is_noop:
-            self.telemetry.increment("control.actuations")
-
-    def _apply_throttle(self, throttle: float | dict[int, float]) -> None:
-        """Scale the ΔI of future edges: the upcoming window's start
-        onward in the current segment, everything in later segments."""
-        if isinstance(throttle, dict):
-            factors = {int(core): float(f) for core, f in throttle.items()}
-        else:
-            factors = {
-                core: float(throttle) for core in range(self.chip.n_cores)
-            }
-        for core, factor in factors.items():
-            if not 0.0 <= factor:
-                raise ControlError(
-                    f"throttle factor must be >= 0 (core {core}: {factor})"
-                )
-        port_factor = {
-            self.chip.core_ports[core]: factor
-            for core, factor in factors.items()
-        }
-        seg0, win0 = (
-            self._schedule[self._cursor]
-            if not self.done
-            else (len(self._trains), 0)
-        )
-        for seg in range(seg0, len(self._trains)):
-            if seg == seg0:
-                lo = int(self._bounds[seg][win0])
-                t_cut = float(self.batch.segments[seg].times[lo])
-            else:
-                t_cut = -np.inf
-            changed = False
-            rewritten: list[EdgeTrain] = []
-            for train in self._trains[seg]:
-                factor = port_factor.get(train.port, 1.0)
-                mask = train.times >= t_cut
-                if factor == 1.0 or not mask.any():
-                    rewritten.append(train)
-                    continue
-                deltas = train.deltas.copy()
-                deltas[mask] = deltas[mask] * factor
-                rewritten.append(EdgeTrain(train.port, train.times, deltas))
-                changed = True
-            if changed:
-                self._trains[seg] = rewritten
-                self._coherent[seg] = self.runner._coherent_delta_i(
-                    self.batch.mapping, rewritten, self.options
-                )
-
     # -- the loop -------------------------------------------------------
     def step(self, actuation: Actuation | None = None) -> WindowObservation:
-        """Apply *actuation* (if any), solve the next window, fold it
+        """Apply *actuation* (if any), step the next window, fold it
         into the sticky measurement state and return its observation."""
         if self.done:
             raise ControlError(
                 f"stepping past the end of the run "
                 f"({self.n_windows} windows)"
             )
-        if actuation is not None:
-            self._apply(actuation)
+        if actuation is not None and not actuation.is_noop:
+            self._service.set_bias_steps(int(actuation.bias_steps))
+            self.telemetry.increment("control.actuations")
 
         seg, win = self._schedule[self._cursor]
         lo, hi = int(self._bounds[seg][win]), int(self._bounds[seg][win + 1])
-        rows = self._window_rows(seg, lo, hi)
+        rows = self._segment_rows(seg)[:, lo:hi]
         segment = self.batch.segments[seg]
         times = segment.times
         dc_levels = self.batch.dc_levels
@@ -407,14 +334,14 @@ class SteppingSession:
             raw_max = float(volts.max())
             state["v_min"] = min(state["v_min"], raw_min)
             state["v_max"] = max(state["v_max"], raw_max)
-            state["coherent"] = max(state["coherent"], self._coherent[seg][core])
+            state["coherent"] = max(state["coherent"], segment.coherent[core])
 
             observed = volts + offset if offset else volts
             v_min.append(raw_min + offset)
             v_max.append(raw_max + offset)
             v_mean.append(float(volts.mean()) + offset)
             ssn = (
-                chip.skitters[core].config.ssn_gain * self._coherent[seg][core]
+                chip.skitters[core].config.ssn_gain * segment.coherent[core]
                 if self.options.include_ssn
                 else 0.0
             )
@@ -454,7 +381,7 @@ class SteppingSession:
             active_cores=tuple(active),
             utilization=len(active) / chip.n_cores,
             droop_events=droop_events,
-            coherent=tuple(self._coherent[seg]),
+            coherent=tuple(segment.coherent),
         )
         self._cursor += 1
         self._observations.append(observation)
@@ -470,58 +397,18 @@ class SteppingSession:
 
     # -- terminal measurement -------------------------------------------
     def result(self) -> RunResult:
-        """The run's :class:`~repro.machine.runner.RunResult`, from the
-        accumulated sticky state (remaining windows are stepped
-        un-actuated first).
+        """The run's :class:`~repro.machine.runner.RunResult`: the
+        sticky state accumulated over the emitted windows (remaining
+        windows are stepped un-actuated first), read out by
+        :meth:`ChipRunner.measure
+        <repro.machine.runner.ChipRunner.measure>`.
 
-        Without actuation this is byte-identical to
-        :meth:`ChipRunner.execute` of the same batch; with throttling it
-        is the result of the actuated edge history (bias never enters —
-        like the monolithic path, measurements are relative to the
-        nominal supply)."""
+        Bias never enters — like the monolithic path, measurements are
+        relative to the nominal supply — so this is byte-identical to
+        :meth:`ChipRunner.execute` of the same batch."""
         self.run_to_completion()
-        chip = self.chip
-        options = self.options
-        chip.reset_skitters()
-
-        waveforms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        if options.collect_waveforms and self.batch.segments:
-            segment = self.batch.segments[0]
-            times = segment.times
-            rows = self._solver(0).solve_window(
-                self._trains[0], 0, int(times.size)
-            )
-            dc_levels = self.batch.dc_levels
-            for core in range(chip.n_cores):
-                node = self._core_nodes[core]
-                waveforms[node] = (times.copy(), dc_levels[node] + rows[core])
-            extra = self.runner._solve_extra(
-                replace(segment, trains=self._trains[0])
-            )
-            for node, deviation in zip(WAVEFORM_EXTRA_NODES, extra):
-                waveforms[node] = (times.copy(), dc_levels[node] + deviation)
-
-        measurements: list[CoreMeasurement] = []
-        for core in range(chip.n_cores):
-            state = self._sticky[core]
-            coherent_amps = state["coherent"] if options.include_ssn else 0.0
-            macro = chip.skitters[core]
-            macro.observe(state["v_min"], state["v_max"], coherent_amps)
-            reading = macro.read()
-            ssn_droop = macro.config.ssn_gain * coherent_amps
-            measurements.append(
-                CoreMeasurement(
-                    core=core,
-                    p2p_pct=reading.p2p_pct,
-                    v_min=state["v_min"] - ssn_droop,
-                    v_max=state["v_max"],
-                    coherent_delta_i=coherent_amps,
-                )
-            )
-        return RunResult(
-            measurements=measurements,
-            mapping=list(self.batch.mapping),
-            waveforms=waveforms,
+        return self.runner.measure(
+            self.batch, self._sticky, self._segment_rows(0)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

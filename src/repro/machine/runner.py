@@ -283,40 +283,55 @@ class ChipRunner:
     def execute(self, batch: StimulusBatch) -> RunResult:
         """Solve a prepared :class:`StimulusBatch` and measure it."""
         chip = self.chip
-        options = batch.options
-        chip.reset_skitters()
         core_nodes = chip.core_nodes
         deviations = self._solve(batch, core_nodes)
-        collect = bool(options.collect_waveforms and batch.segments)
-        extra: list[np.ndarray] = []
-        if collect:
-            extra = self._solve_extra(batch.segments[0])
-
-        dc_levels = batch.dc_levels
-        waveforms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         sticky = [
             {"v_min": np.inf, "v_max": -np.inf, "coherent": 0.0}
             for _ in range(chip.n_cores)
         ]
         for segment, rows in zip(batch.segments, deviations):
-            times = segment.times
-            for core in range(chip.n_cores):
-                node = core_nodes[core]
-                volts = dc_levels[node] + rows[core]
+            for core, node in enumerate(core_nodes):
+                volts = batch.dc_levels[node] + rows[core]
                 state = sticky[core]
                 state["v_min"] = min(state["v_min"], float(volts.min()))
                 state["v_max"] = max(state["v_max"], float(volts.max()))
                 state["coherent"] = max(
                     state["coherent"], segment.coherent[core]
                 )
-                if collect and segment.index == 0:
-                    waveforms[node] = (times.copy(), volts)
-            if collect and segment.index == 0:
-                for node, deviation in zip(WAVEFORM_EXTRA_NODES, extra):
-                    waveforms[node] = (
-                        times.copy(), dc_levels[node] + deviation
-                    )
+        return self.measure(batch, sticky, deviations[0])
 
+    def measure(
+        self,
+        batch: StimulusBatch,
+        sticky: list[dict[str, float]],
+        first_rows: Sequence[np.ndarray],
+    ) -> RunResult:
+        """Read the skitters out of a run's accumulated sticky state.
+
+        *sticky* holds, per core, the nominal-supply ``v_min`` /
+        ``v_max`` over every solved sample and the largest coherent ΔI
+        of any segment; *first_rows* are the core-node deviation rows
+        of the first segment, recorded as waveforms when the options
+        ask for them.  :meth:`execute` and the stepping engine
+        (:class:`~repro.engine.stepping.SteppingSession`) both end
+        here, so a stepped run measures exactly like a monolithic one.
+        """
+        chip = self.chip
+        options = batch.options
+        dc_levels = batch.dc_levels
+        waveforms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        if options.collect_waveforms:
+            segment = batch.segments[0]
+            times = segment.times
+            for core, node in enumerate(chip.core_nodes):
+                waveforms[node] = (
+                    times.copy(), dc_levels[node] + first_rows[core]
+                )
+            extra = self._solve_extra(segment)
+            for node, deviation in zip(WAVEFORM_EXTRA_NODES, extra):
+                waveforms[node] = (times.copy(), dc_levels[node] + deviation)
+
+        chip.reset_skitters()
         measurements: list[CoreMeasurement] = []
         for core in range(chip.n_cores):
             state = sticky[core]

@@ -17,17 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.mapping import (
-    MappingStudy,
-    enumerate_mappings,
-    plan_mapping_extremes,
-)
+from ..analysis.mapping import MappingStudy, enumerate_mappings
 from ..engine import SimulationSession
 from ..errors import ExperimentError
 from ..machine.chip import Chip
 from ..machine.runner import RunOptions
 from ..machine.workload import CurrentProgram
-from ..plan.spec import RunPlan
 
 __all__ = ["Placement", "NoiseAwareScheduler"]
 
@@ -87,24 +82,6 @@ class NoiseAwareScheduler:
         return enumerate_mappings(
             self.chip, self.program, n_workloads, self.options,
             session=self.session,
-        )
-
-    def plan_studies(
-        self,
-        workload_counts: list[int] | None = None,
-        figure: str | None = None,
-    ) -> RunPlan:
-        """The declarative run plan of the placement studies for
-        *workload_counts* (all counts when omitted) — what a campaign
-        including the scheduler's warm-up compiles to, fingerprint-
-        identical to the runs :meth:`study` executes."""
-        counts = (
-            list(range(self.chip.n_cores + 1))
-            if workload_counts is None
-            else workload_counts
-        )
-        return plan_mapping_extremes(
-            self.chip, self.program, counts, self.options, figure=figure
         )
 
     def place(self, n_workloads: int) -> Placement:

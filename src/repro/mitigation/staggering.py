@@ -25,7 +25,6 @@ from ..machine.workload import CurrentProgram
 __all__ = [
     "StaggerPlan",
     "plan_stagger",
-    "plan_stagger_runs",
     "evaluate_stagger",
 ]
 
@@ -110,28 +109,6 @@ class StaggerOutcome:
         if self.staggered.max_p2p == 0:
             return float("inf")
         return self.baseline.max_p2p / self.staggered.max_p2p
-
-
-def plan_stagger_runs(
-    chip: Chip,
-    mapping: list[CurrentProgram | None],
-    window_steps: int = 5,
-    options: RunOptions | None = None,
-    figure: str | None = None,
-):
-    """The declarative form of :func:`evaluate_stagger`: the baseline
-    and staggered runs it would execute (named ``plan_stagger_runs`` to
-    keep it apart from :func:`plan_stagger`, which builds the stagger
-    *offset* plan, not a run plan)."""
-    from ..machine.runner import RunOptions as _RunOptions
-    from ..plan.spec import RunPlan
-
-    plan = plan_stagger(mapping, window_steps, n_cores=chip.n_cores)
-    run_plan = RunPlan.for_chip(chip)
-    run_options = options or _RunOptions()
-    run_plan.add(mapping, "stagger-baseline", run_options, figure)
-    run_plan.add(plan.apply(mapping), "stagger-applied", run_options, figure)
-    return run_plan
 
 
 def evaluate_stagger(

@@ -153,12 +153,6 @@ class SeriesWindow:
     def hist_count(self, name: str) -> int:
         return int(self.histograms.get(name, {}).get("count", 0))
 
-    def hist_mean(self, name: str) -> float | None:
-        entry = self.histograms.get(name)
-        if not entry or not entry.get("count"):
-            return None
-        return entry["total"] / entry["count"]
-
     def percentile(self, name: str, p: float) -> float | None:
         """Windowed percentile of histogram *name* from bucket deltas."""
         entry = self.histograms.get(name)

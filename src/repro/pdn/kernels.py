@@ -72,7 +72,6 @@ from .superposition import EdgeTrain
 
 __all__ = [
     "CompiledChipKernel",
-    "SteppingSolver",
     "SampleGrid",
     "compile_kernel",
     "library_fingerprint",
@@ -724,119 +723,9 @@ class CompiledChipKernel:
                 )
         return contrib
 
-    def stepping_solver(
-        self,
-        grid: SampleGrid | np.ndarray,
-        nodes: list[str] | None = None,
-    ) -> "SteppingSolver":
-        """A :class:`SteppingSolver` over this kernel: windowed,
-        exactly-continuing evaluation of one segment's sample grid."""
-        return SteppingSolver(self, grid, nodes)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"CompiledChipKernel(ports={len(self.ports)}, "
             f"nodes={len(self.nodes)}, lanes={self._lanes.size}, "
             f"window={self.window:.3g}s, fp={self.fingerprint[:12]}…)"
-        )
-
-
-class SteppingSolver:
-    """Windowed evaluation of one sample grid with exact continuation.
-
-    A closed-loop controller advances the transient solve in windows:
-    ``solve_window(trains, lo, hi)`` returns the node deviations over
-    ``times[lo:hi]`` only, and consecutive windows continue each other
-    *exactly* — stitching every window back together is bit-identical
-    to one monolithic :meth:`CompiledChipKernel.evaluate` of the whole
-    grid.
-
-    Because the PDN is LTI, the sufficient state carried between
-    windows is the edge-train history and the modal phase continuation
-    ``e^{λ t}`` — and the kernel already factors exactly that state
-    into content-addressed per-port contribution blocks over the full
-    grid.  The solver therefore realizes continuation by carrying those
-    full-horizon blocks (summed once per *train epoch*, i.e. per
-    distinct edge-train content) and emitting row slices.  Per-sample
-    rows of every kernel tier are independent, so the slice is the
-    windowed solve — with the bit-identity guaranteed by construction
-    instead of by floating-point analysis of sliced GEMMs.
-
-    Actuation that rewrites **future** edges (a throttled core derates
-    its upcoming ΔI) starts a new train epoch: the next
-    ``solve_window`` re-sums the port blocks, and the kernel's
-    contribution cache makes that incremental — only ports whose trains
-    actually changed are re-evaluated, untouched ports replay their
-    cached blocks.  Samples before the first rewritten edge are
-    unaffected (a ramp response is exactly zero before its edge), so
-    already-emitted windows remain the truth of the actuated history.
-    """
-
-    def __init__(
-        self,
-        kernel: CompiledChipKernel,
-        grid: SampleGrid | np.ndarray,
-        nodes: list[str] | None = None,
-    ):
-        self.kernel = kernel
-        self.grid = grid if isinstance(grid, SampleGrid) else SampleGrid(grid)
-        self.nodes, self._rows = kernel._node_rows(nodes)
-        self._epoch_key: tuple | None = None
-        self._block: np.ndarray | None = None
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.grid.times.size)
-
-    @staticmethod
-    def _train_key(trains: list[EdgeTrain]) -> tuple:
-        """Content identity of one train epoch (port + edge content,
-        in train order — the same inputs :meth:`solve_batch` merges)."""
-        return tuple(
-            (train.port, _digest(train.times), _digest(train.deltas))
-            for train in trains
-        )
-
-    def is_warm(self, trains: list[EdgeTrain]) -> bool:
-        """Whether *trains* is the epoch whose block is already solved
-        (a window of it is a slice, no evaluation)."""
-        return (
-            self._block is not None
-            and self._epoch_key == self._train_key(trains)
-        )
-
-    def _block_for(self, trains: list[EdgeTrain]) -> np.ndarray:
-        """The full-grid deviation block of the current train epoch —
-        the carried LTI state.  Re-entered only when the train content
-        changes; the kernel's contribution cache keeps the re-entry
-        cost proportional to the ports actually rewritten."""
-        key = self._train_key(trains)
-        if self._epoch_key != key or self._block is None:
-            self._block = self.kernel.evaluate(
-                trains, self.grid, nodes=self.nodes
-            )
-            self._epoch_key = key
-        return self._block
-
-    def solve_window(
-        self, trains: list[EdgeTrain], lo: int, hi: int
-    ) -> np.ndarray:
-        """Deviation waveforms over ``times[lo:hi]``: a
-        ``(len(nodes), hi - lo)`` view of the epoch block."""
-        if not 0 <= lo <= hi <= self.n_samples:
-            raise SolverError(
-                f"window [{lo}, {hi}) outside the sample grid "
-                f"(0..{self.n_samples})"
-            )
-        return self._block_for(trains)[:, lo:hi]
-
-    def invalidate(self) -> None:
-        """Drop the carried epoch block (tests, memory pressure)."""
-        self._epoch_key = None
-        self._block = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"SteppingSolver(nodes={len(self.nodes)}, "
-            f"samples={self.n_samples}, kernel={self.kernel!r})"
         )

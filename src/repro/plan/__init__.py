@@ -27,7 +27,7 @@ fleet (:mod:`repro.fleet`).  See DESIGN.md §9 for the plan model and
 
 from .execute import ExecutionReport, execute_plan, run_point_id
 from .family import FamilyCampaign, FamilyMember, FamilyReport, execute_family
-from .planner import CampaignPlan, UniqueRun, merge_plans
+from .planner import CampaignPlan, UniqueRun
 from .spec import PlannedRun, RunPlan, chip_identity
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "chip_identity",
     "CampaignPlan",
     "UniqueRun",
-    "merge_plans",
     "ExecutionReport",
     "execute_plan",
     "run_point_id",

@@ -140,14 +140,15 @@ class CampaignPlan:
         """Estimated cold wall-clock of this campaign, from a measured
         mean per-run latency (the ``engine.run.seconds``
         histogram of a previous campaign); ``None`` without a baseline.
-        *jobs* is intra-process parallelism, *workers* the fleet size —
-        a fleet of W workers at J jobs each divides the serial wall
-        clock by ``W * J`` (leases are cheap next to a run, so the
+        *jobs* is intra-process parallelism, *workers* the fleet size.
+        Fleet workers always run serially, so a fleet of W > 1 workers
+        divides the serial wall clock by W and *jobs* applies only
+        without one (leases are cheap next to a run, so the
         ideal-speedup model stays honest enough for an ETA).
         """
         if mean_run_s is None:
             return None
-        parallelism = max(jobs, 1) * max(workers, 1)
+        parallelism = workers if workers > 1 else max(jobs, 1)
         return self.total_unique * mean_run_s / parallelism
 
     def summary(self) -> dict:
@@ -181,8 +182,3 @@ class CampaignPlan:
             f"CampaignPlan(unique={self.total_unique}, "
             f"requested={self.total_requested})"
         )
-
-
-def merge_plans(plans: Iterable[RunPlan]) -> CampaignPlan:
-    """Convenience alias for :meth:`CampaignPlan.compile`."""
-    return CampaignPlan.compile(list(plans))

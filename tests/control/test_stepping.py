@@ -107,41 +107,3 @@ class TestActuation:
         )
         with pytest.raises(ConfigError):
             stepping.step(Actuation(bias_steps=-100))
-
-    def test_throttle_shrinks_later_droop(
-        self, chip, loop_mapping, loop_options
-    ):
-        plain = SteppingSession(
-            chip, loop_mapping, loop_options, windows_per_segment=4
-        )
-        throttled = SteppingSession(
-            chip, loop_mapping, loop_options, windows_per_segment=4
-        )
-        reference = plain.run_to_completion()
-        throttled.step(Actuation(throttle=0.2))
-        rest = throttled.run_to_completion()
-        assert min(obs.worst_vmin for obs in rest) > min(
-            obs.worst_vmin for obs in reference[1:]
-        )
-
-    def test_rewind_after_throttle_restores_equivalence(
-        self, chip, loop_mapping, loop_options
-    ):
-        stepping = SteppingSession(
-            chip, loop_mapping, loop_options, windows_per_segment=4
-        )
-        stepping.step(Actuation(throttle={0: 0.5, 3: 0.25}))
-        stepping.run_to_completion()
-        stepping.rewind()
-        stepping.run_to_completion()
-        baseline = monolithic(chip, loop_mapping, loop_options)
-        assert results_identical(stepping.result(), baseline)
-
-    def test_negative_throttle_rejected(
-        self, chip, loop_mapping, loop_options
-    ):
-        stepping = SteppingSession(
-            chip, loop_mapping, loop_options, windows_per_segment=2
-        )
-        with pytest.raises(ControlError):
-            stepping.step(Actuation(throttle=-0.5))

@@ -138,6 +138,28 @@ class TestCliResume:
         # Nothing re-ran: the skipped campaign printed no result body.
         assert "resonant bands" not in captured.out
 
+    def test_resume_keeps_skipped_experiments_in_the_index(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "artifacts"
+        assert cli.main(["--quick", "run", "fig7b", "--output", str(out)]) == 0
+        first = json.loads((out / "index.json").read_text())
+        assert (
+            cli.main([
+                "--quick", "run", "fig7b", "fig13b", "--resume",
+                "--output", str(out),
+            ])
+            == 0
+        )
+        assert "skipping 1 finished experiment(s): fig7b" in (
+            capsys.readouterr().out
+        )
+        index = json.loads((out / "index.json").read_text())
+        assert set(index) == {"fig7b", "fig13b"}
+        assert index["fig7b"] == first["fig7b"]
+        exported = json.loads((out / "fig13b.json").read_text())
+        assert index["fig13b"] == exported["title"]
+
     def test_failed_point_is_recorded_and_telemetry_flushed(
         self, tmp_path, monkeypatch, capsys
     ):

@@ -78,9 +78,9 @@ class TestCompileAndDedup:
     def test_estimate_seconds_scales_by_fleet_size(self):
         campaign = CampaignPlan.compile([_plan("fig7a", [1, 2])])
         assert campaign.estimate_seconds(3.0, workers=2) == pytest.approx(3.0)
-        # Fleet workers and per-worker jobs compose multiplicatively.
+        # Fleet workers run serially: the fleet size alone divides.
         assert campaign.estimate_seconds(
             3.0, jobs=2, workers=3
-        ) == pytest.approx(1.0)
+        ) == pytest.approx(2.0)
         # Degenerate sizes clamp to serial rather than dividing by zero.
         assert campaign.estimate_seconds(3.0, workers=0) == pytest.approx(6.0)
