@@ -10,7 +10,9 @@ gives the engine the same stance: a single run is executed through
 
 * enforces an optional per-run wall-clock budget (``run_timeout_s``),
 * retries transient failures with bounded exponential backoff
-  (deterministic — no jitter, so campaigns stay reproducible), and
+  (deterministic — no jitter, so campaigns stay reproducible), while a
+  :class:`~repro.errors.ConfigError` — a bad input, which fails the
+  same way every time — fails on its first attempt, and
 * converts a run that still fails after its budget into a structured
   :class:`RunFailure` record (error type, message, traceback, attempt
   count, run label) instead of an exception that would kill the whole
@@ -242,10 +244,12 @@ def guarded_call(
     """Execute one run under *policy*; never raises for run failures.
 
     ``KeyboardInterrupt``/``SystemExit`` propagate (a host interruption
-    must abort the campaign, not be retried); every other exception —
-    including the watchdog's :class:`~repro.errors.RunTimeoutError` —
-    consumes one attempt and, once the budget is spent, becomes a
-    :class:`RunFailure`.
+    must abort the campaign, not be retried).  A
+    :class:`~repro.errors.ConfigError` is deterministic, so it becomes a
+    :class:`RunFailure` on its first attempt, without a backoff sleep.
+    Every other exception — including the watchdog's
+    :class:`~repro.errors.RunTimeoutError` — consumes one attempt and,
+    once the budget is spent, becomes a :class:`RunFailure`.
     """
     policy = policy or RetryPolicy()
     attempts = 0
@@ -267,7 +271,9 @@ def guarded_call(
         except Exception as error:
             if isinstance(error, RunTimeoutError):
                 timeouts += 1
-            if attempts > policy.max_retries:
+            if attempts > policy.max_retries or isinstance(
+                error, ConfigError
+            ):
                 return GuardedOutcome(
                     failure=RunFailure.from_exception(
                         error,

@@ -114,7 +114,7 @@ _SEGMENT_CACHE_ENTRIES = 64
 
 #: Capacity of the per-kernel contribution cache: fully evaluated
 #: per-(sample grid, edge train, port) node-deviation blocks.  Entries
-#: are ``samples × nodes`` float arrays (~200 kB at experiment sizes),
+#: are ``nodes × samples`` float arrays (~200 kB at experiment sizes),
 #: so the cap bounds resident memory at a few tens of MB.
 _CONTRIB_CACHE_ENTRIES = 128
 
@@ -212,6 +212,7 @@ class _TierIndex:
 
     ks_w: np.ndarray                 # per sample: first edge in (t−W, ·]
     ks_h: np.ndarray                 # per sample: first edge in (t−H, ·]
+    dc_start: int                    # first sample with ks_h > 0
     slow_edges: np.ndarray           # (chunks, slots): edge of each slot
     slow_decay: np.ndarray           # (chunks, slots, S): e^{−λ(t_e−o_c)}
     slow_w: np.ndarray               # per sample: prefix row at ks_w
@@ -362,19 +363,16 @@ class CompiledChipKernel:
             )
         self._window_step = step
         self._n_knots = n_knots
-        # (ports, knots, nodes) value and slope tables.
+        # (ports, nodes, knots − 1) value and slope tables, contiguous
+        # per (port, node) row: the window tier interpolates one observed
+        # row at a time with two 1-D gathers.
         library = self.library
-        wtab = np.empty((len(self.ports), n_knots, len(self.nodes)))
+        wtab = np.empty((len(self.ports), len(self.nodes), n_knots))
         for p, port in enumerate(self.ports):
             for n, node in enumerate(self.nodes):
-                wtab[p, :, n] = library._ramp[(port, node)][:n_knots]
-        self._wtab = wtab
-        self._wslope = np.diff(wtab, axis=1) / step
-        # Value and slope tables packed side by side, so the window
-        # tier's per-pair interpolation costs one fancy-index gather.
-        self._wpack = np.concatenate(
-            [wtab[:, :-1, :], self._wslope], axis=2
-        )
+                wtab[p, n] = library._ramp[(port, node)][:n_knots]
+        self._wval = np.ascontiguousarray(wtab[:, :, :-1])
+        self._wslope = np.diff(wtab, axis=2) / step
 
     def _build_modal_coefficients(self, library: ResponseLibrary) -> None:
         """Per-port closed-form ramp coefficients restricted to the slow
@@ -515,11 +513,21 @@ class CompiledChipKernel:
         """Compute one :class:`_TierIndex` (see its docstring).  All
         three tiers share the *same* float predicates (edge < t−W marks
         slow-or-older, edge < t−H marks dc) so every (sample, edge)
-        pair lands in exactly one tier even at the seams."""
+        pair lands in exactly one tier even at the seams.
+
+        The bounds are counted rather than searched: edge ``e`` is older
+        than ``t_i − W`` exactly for the samples ``i ≥ w_after[e]``, so
+        ``ks_w`` (the number of edges before ``t − W``) is the running
+        count of ``w_after`` — a binary search of the few edges in the
+        samples instead of every sample in the edges."""
+        n = times.size
         t_w = times - self.window
         t_h = times - self.horizon
-        ks_w = np.searchsorted(et, t_w, side="left")
-        ks_h = np.searchsorted(et, t_h, side="left")
+        w_after = np.searchsorted(t_w, et, side="right")
+        ks_w = np.cumsum(np.bincount(w_after, minlength=n + 1)[:n])
+        ks_h = np.cumsum(np.bincount(
+            np.searchsorted(t_h, et, side="right"), minlength=n + 1
+        )[:n])
 
         # Slow tier: one chunk per run of equal origins.  A chunk's
         # samples see edges ks_h[first sample] .. ks_w[last sample] − 1
@@ -558,8 +566,7 @@ class CompiledChipKernel:
 
         win_sample = win_idx = win_frac = win_active = win_lengths = None
         expanded = _expand_ranges(
-            np.searchsorted(times, et, side="right"),
-            np.searchsorted(t_w, et, side="right"),
+            np.searchsorted(times, et, side="right"), w_after
         )
         if expanded is not None:
             win_sample, win_active, win_lengths = expanded
@@ -570,7 +577,9 @@ class CompiledChipKernel:
             )
             win_frac = x - win_idx * step
         return _TierIndex(
-            ks_w=ks_w, ks_h=ks_h, slow_edges=slow_edges,
+            ks_w=ks_w, ks_h=ks_h,
+            dc_start=int(np.searchsorted(ks_h, 0, side="right")),
+            slow_edges=slow_edges,
             slow_decay=slow_decay, slow_w=slow_w, slow_h=slow_h,
             win_sample=win_sample, win_idx=win_idx, win_frac=win_frac,
             win_active=win_active, win_lengths=win_lengths,
@@ -582,7 +591,7 @@ class CompiledChipKernel:
         nodes: list[str] | None = None,
     ) -> list[np.ndarray]:
         """Evaluate N stimuli — ``(edge trains, sample grid)`` pairs —
-        as one stacked solve.
+        in one call.
 
         Because the PDN is LTI, one port's contribution to the observed
         nodes is a pure function of (sample grid, merged edge train,
@@ -599,16 +608,13 @@ class CompiledChipKernel:
         """
         nodes, rows = self._node_rows(nodes)
         rows_key = rows.tobytes()
-        grids = [
-            grid if isinstance(grid, SampleGrid) else SampleGrid(grid)
-            for _, grid in stimuli
-        ]
-        counts = [grid.times.size for grid in grids]
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        out = np.zeros((int(starts[-1]), rows.size))
-
-        for (trains, _), grid, start in zip(stimuli, grids, starts):
+        results = []
+        for trains, grid in stimuli:
+            if not isinstance(grid, SampleGrid):
+                grid = SampleGrid(grid)
             times = grid.times
+            seg = np.zeros((rows.size, times.size))
+            results.append(seg)
             if times.size == 0:
                 continue
             by_port: dict[str, list[EdgeTrain]] = {}
@@ -622,7 +628,6 @@ class CompiledChipKernel:
             if not by_port:
                 continue
             times_key = _digest(times)
-            seg = out[start:start + times.size]
 
             for port, port_trains in by_port.items():
                 p = self._port_index[port]
@@ -646,11 +651,7 @@ class CompiledChipKernel:
                     contrib.flags.writeable = False
                     self._contrib_cache[key] = contrib
                 seg += contrib
-
-        return [
-            np.ascontiguousarray(out[start:start + count].T)
-            for start, count in zip(starts, counts)
-        ]
+        return results
 
     def evaluate(
         self,
@@ -674,18 +675,25 @@ class CompiledChipKernel:
         p: int,
         rows: np.ndarray,
     ) -> np.ndarray:
-        """One port's deviation block ``(samples × rows)`` for one
-        merged edge train — the cacheable unit of the solve."""
+        """One port's deviation block ``(rows × samples)`` for one
+        merged edge train — the cacheable unit of the solve.  Each
+        observed row is contiguous, so the rank-one tiers and the window
+        tier's scatter-adds each run along one row."""
         tiers = self._tiers_for(times, times_key, et, et_key)
 
         # DC and steady-state tiers: rank-one products of the Σδ
-        # prefix differences against the per-port gain rows.
+        # prefix differences against the per-port gain rows.  Before
+        # dc_start no edge is past the horizon: d_at_h is +0.0 there
+        # and the DC gains are negative, so the product would add -0.0,
+        # which changes no element.  It covers only the suffix.
         d_prefix = np.concatenate([[0.0], np.cumsum(deltas)])
-        d_at_h = d_prefix[tiers.ks_h]
-        contrib = np.outer(
-            d_prefix[tiers.ks_w] - d_at_h, self._yss[p, rows]
+        d_at_h = d_prefix.take(tiers.ks_h)
+        contrib = self._yss[p, rows][:, None] * (
+            d_prefix.take(tiers.ks_w) - d_at_h
         )
-        contrib += np.outer(d_at_h, self._dc[p, rows])
+        h0 = tiers.dc_start
+        if h0 < times.size:
+            contrib[:, h0:] += self._dc[p, rows][:, None] * d_at_h[h0:]
 
         # Slow tier: complex prefix sums of δ e^{−λ(t_e − o_c)} per
         # chunk, differenced between each sample's tier bounds, times
@@ -700,26 +708,33 @@ class CompiledChipKernel:
         p_prefix = p_prefix.reshape(-1, n_lanes)
         phases = self._phases_for(grid, times_key)
         mgw_p = np.ascontiguousarray(self._mgw[p][:, rows])
-        contrib += np.real(
-            (phases * (p_prefix[tiers.slow_w] - p_prefix[tiers.slow_h]))
+        # Keep this product one unnamed inline expression: complex
+        # multiply under FMA rounds differently with its operands
+        # swapped, and numpy reuses an unnamed temporary of 256 KiB or
+        # more in place, computing ``diff * phases`` for large grids and
+        # ``phases * diff`` for small ones.  Naming the difference, or
+        # writing the product in place, moves the blocks' last bits.
+        contrib += (
+            (phases * (
+                p_prefix.take(tiers.slow_w, axis=0)
+                - p_prefix.take(tiers.slow_h, axis=0)
+            ))
             @ mgw_p
-        )
+        ).real.T
 
-        # Window tier: gather the packed (value | slope) table rows for
-        # every (sample, edge) pair, interpolate, scatter-accumulate.
+        # Window tier: per observed row, gather the row's contiguous
+        # value and slope tables at every (sample, edge) pair's knot,
+        # interpolate, weight by the pair's edge delta and
+        # scatter-accumulate onto the samples.
         if tiers.win_sample is not None:
-            n = len(self.nodes)
-            wpack_p = self._wpack[p][:, np.concatenate([rows, rows + n])]
-            packed = wpack_p[tiers.win_idx]     # (pairs, 2R)
-            r = rows.size
-            vals = packed[:, :r] + tiers.win_frac[:, None] * packed[:, r:]
             d_pair = np.repeat(deltas[tiers.win_active], tiers.win_lengths)
-            weighted = d_pair[:, None] * vals
-            for j in range(r):
-                contrib[:, j] += np.bincount(
-                    tiers.win_sample,
-                    weights=weighted[:, j],
-                    minlength=times.size,
+            idx, frac = tiers.win_idx, tiers.win_frac
+            for j, row in enumerate(rows):
+                vals = self._wval[p, row].take(idx)
+                vals += frac * self._wslope[p, row].take(idx)
+                vals *= d_pair
+                contrib[j] += np.bincount(
+                    tiers.win_sample, weights=vals, minlength=times.size
                 )
         return contrib
 

@@ -9,7 +9,10 @@ other on random networks.
 The method is the classic SPICE approach: companion models for the
 reactive elements under trapezoidal integration, a constant system
 matrix for a fixed time step (factorized once), and a per-step
-right-hand-side update.  Trapezoidal integration is A-stable, which
+right-hand-side update.  Because that update is linear with constant
+matrices, the engine steps unit columns through the factorization once
+to get the step map, then iterates it as one small matrix-vector
+product per step.  Trapezoidal integration is A-stable, which
 matters because PDN netlists are stiff (sub-nanosecond ESR/C time
 constants next to hundred-microsecond board modes).
 """
@@ -166,81 +169,89 @@ def simulate_transient(
     for port in netlist.current_ports:
         u_coupling[free_index[port.node], input_index[port.name]] -= 1.0
 
-    # Inductor companion rows.
-    def endpoint_terms(row: int, endpoint: str, sign: float, factor: float) -> None:
-        """Stamp ``sign*factor*v_endpoint`` into inductor row *row*."""
-        if endpoint == GROUND:
-            return
-        if endpoint in pinned:
-            u_coupling[row, pinned_input[endpoint]] -= sign * factor
-        else:
-            lhs[row, free_index[endpoint]] += sign * factor
-
+    # Inductor companion rows.  The endpoint voltages of every branch
+    # are linear maps, v_a − v_b = incidence @ v + incidence_u @ u; the
+    # same incidence carries each branch current into the KCL rows.
+    incidence = np.zeros((nl, nv))
+    incidence_u = np.zeros((nl, u.shape[1]))
     for k, ind in enumerate(netlist.inductors):
-        row = nv + k
-        beta = dt / (2.0 * ind.henries)
-        lhs[row, row] = 1.0 + beta * ind.esr
-        endpoint_terms(row, ind.a, -beta, 1.0)
-        endpoint_terms(row, ind.b, +beta, 1.0)
-        # KCL contributions of the branch current unknown.
-        if ind.a != GROUND and ind.a not in pinned:
-            lhs[free_index[ind.a], row] += 1.0
-        if ind.b != GROUND and ind.b not in pinned:
-            lhs[free_index[ind.b], row] -= 1.0
+        for endpoint, sign in ((ind.a, 1.0), (ind.b, -1.0)):
+            if endpoint == GROUND:
+                continue
+            if endpoint in pinned:
+                incidence_u[k, pinned_input[endpoint]] += sign
+            else:
+                incidence[k, free_index[endpoint]] += sign
+    ind_l = np.array([ind.henries for ind in netlist.inductors])
+    ind_r = np.array([ind.esr for ind in netlist.inductors])
+    beta_l = dt / (2.0 * ind_l) if nl else np.zeros(0)
+    lhs[nv:, nv:] += np.diag(1.0 + beta_l * ind_r)
+    lhs[nv:, :nv] -= beta_l[:, None] * incidence
+    u_coupling[nv:] += beta_l[:, None] * incidence_u
+    lhs[:nv, nv:] += incidence.T
 
     try:
         lu = lu_factor(lhs)
     except ValueError as exc:  # pragma: no cover - defensive
         raise SolverError("transient system could not be factorized") from exc
 
-    # State history.
-    x_cap = np.zeros(nv)         # plate voltages
-    i_cap = np.zeros(nv)         # capacitor branch currents
-    v_prev = np.zeros(nv)
-    i_l = np.zeros(nl)
-    ind_l = np.array([ind.henries for ind in netlist.inductors])
-    ind_r = np.array([ind.esr for ind in netlist.inductors])
-    beta_l = dt / (2.0 * ind_l) if nl else np.zeros(0)
-
-    def endpoint_voltage(endpoint: str, v: np.ndarray, u_row: np.ndarray) -> float:
-        if endpoint == GROUND:
-            return 0.0
-        if endpoint in pinned:
-            return float(u_row[pinned_input[endpoint]])
-        return float(v[free_index[endpoint]])
-
-    recorded = np.zeros((len(observe), times.size))
-
-    def record(step: int, v: np.ndarray, u_row: np.ndarray) -> None:
-        for row, node in enumerate(observe):
-            recorded[row, step] = endpoint_voltage(node, v, u_row)
-
-    record(0, v_prev, u[0])
-
-    for step in range(1, times.size):
-        rhs = u_coupling @ u[step]
+    # The state is (capacitor plate voltages, capacitor branch currents,
+    # node voltages, inductor currents), one column per state vector.
+    def step(
+        state: np.ndarray, u_now: np.ndarray, u_prev: np.ndarray
+    ) -> np.ndarray:
+        """One trapezoidal step of the companion models, applied to
+        every column of *state* with the matching input columns."""
+        x_cap, i_cap, v_prev, i_l = np.split(state, [nv, 2 * nv, 3 * nv])
+        rhs = u_coupling @ u_now
         # Capacitor history current sources (entering the node).
-        h_cap = cap_geq * (x_cap + cap_hist_gain * i_cap)
-        rhs[:nv] += h_cap
+        rhs[:nv] += cap_geq[:, None] * (
+            x_cap + cap_hist_gain[:, None] * i_cap
+        )
         # Inductor history (adds to the current-step source coupling
         # already present in the row from u_coupling).
-        for k, ind in enumerate(netlist.inductors):
-            va = endpoint_voltage(ind.a, v_prev, u[step - 1])
-            vb = endpoint_voltage(ind.b, v_prev, u[step - 1])
-            rhs[nv + k] += i_l[k] * (1.0 - beta_l[k] * ind_r[k]) + beta_l[k] * (va - vb)
-
+        keep = (1.0 - beta_l * ind_r)[:, None]
+        rhs[nv:] += keep * i_l + beta_l[:, None] * (
+            incidence @ v_prev + incidence_u @ u_prev
+        )
         solution = lu_solve(lu, rhs)
-        if not np.all(np.isfinite(solution)):
-            raise SolverError(f"transient solution diverged at step {step}")
         v_now = solution[:nv]
-        i_l = solution[nv:]
-
         # Update capacitor branch state.
-        i_cap_now = cap_geq * (v_now - x_cap - cap_hist_gain * i_cap)
-        x_cap = x_cap + cap_hist_gain * (i_cap_now + i_cap)
-        i_cap = i_cap_now
-        v_prev = v_now
-        record(step, v_now, u[step])
+        i_cap_now = cap_geq[:, None] * (
+            v_now - x_cap - cap_hist_gain[:, None] * i_cap
+        )
+        x_now = x_cap + cap_hist_gain[:, None] * (i_cap_now + i_cap)
+        return np.concatenate([x_now, i_cap_now, solution])
+
+    # The recurrence is linear with constant matrices, so one step is
+    # ``state_n = transition @ state_{n−1} + from_now @ u_n
+    # + from_prev @ u_{n−1}``; all three maps come from stepping unit
+    # columns through the same LU once.
+    n_state, n_in = 3 * nv + nl, u.shape[1]
+    transition = step(
+        np.eye(n_state), np.zeros((n_in, n_state)), np.zeros((n_in, n_state))
+    )
+    zeros_state, zeros_in = np.zeros((n_state, n_in)), np.zeros((n_in, n_in))
+    from_now = step(zeros_state, np.eye(n_in), zeros_in)
+    from_prev = step(zeros_state, zeros_in, np.eye(n_in))
+
+    states = np.zeros((times.size, n_state))
+    with np.errstate(over="ignore", invalid="ignore"):
+        states[1:] = u[1:] @ from_now.T + u[:-1] @ from_prev.T
+        for n in range(1, times.size):
+            states[n] += transition @ states[n - 1]
+    finite = np.isfinite(states[:, 2 * nv:]).all(axis=1)
+    if not finite.all():
+        raise SolverError(
+            f"transient solution diverged at step {int(np.argmin(finite))}"
+        )
+
+    recorded = np.zeros((len(observe), times.size))
+    for row, node in enumerate(observe):
+        if node in pinned:
+            recorded[row] = u[:, pinned_input[node]]
+        else:
+            recorded[row] = states[:, 2 * nv + free_index[node]]
 
     return TransientResult(
         times=times,

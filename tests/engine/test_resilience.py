@@ -128,6 +128,20 @@ class TestGuardedCall:
         )
         assert slept == pytest.approx([0.1, 0.2, 0.4])
 
+    def test_config_error_fails_on_first_attempt(self):
+        """A bad input fails the same way every time: no retry and no
+        backoff sleep, whatever the retry budget."""
+        fn = _Flaky(failures=10, error=ConfigError("mapping must cover"))
+        slept = []
+        outcome = guarded_call(
+            fn, 1, RetryPolicy(max_retries=3), sleep=slept.append
+        )
+        assert not outcome.ok
+        assert outcome.attempts == 1
+        assert fn.calls == 1
+        assert slept == []
+        assert outcome.failure.error_type == "ConfigError"
+
     def test_keyboard_interrupt_propagates(self):
         def interrupt(_):
             raise KeyboardInterrupt

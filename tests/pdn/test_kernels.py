@@ -1,5 +1,6 @@
 """The compiled batched chip kernel: compilation, memoization,
-equivalence against the reference superposition, and the contribution
+equivalence against the reference superposition, the miss path's bits
+against a reference copy of its arithmetic, and the contribution
 cache."""
 
 from __future__ import annotations
@@ -8,11 +9,15 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
+from repro.machine.runner import ChipRunner, RunOptions
+from repro.machine.workload import CurrentProgram
 from repro.pdn.kernels import (
     _CONTRIB_CACHE_ENTRIES,
     _EXP_BUDGET,
     KERNEL_TOLERANCE_V,
+    CompiledChipKernel,
     SampleGrid,
+    _expand_ranges,
     clear_kernel_cache,
     compile_kernel,
     library_fingerprint,
@@ -40,6 +45,31 @@ def square_train(port: str, delta: float = 18.0, freq: float = 2.6e6,
     times = np.arange(2 * n) * half
     deltas = np.where(np.arange(2 * n) % 2 == 0, delta, -delta)
     return EdgeTrain(port, times, deltas)
+
+
+def isolated_edges(chip, kernel, start=0.0):
+    """The runner's isolated-edge train (12 events 60 µs apart, longer
+    than one slow-tier chunk) on a grid that samples it just before, on
+    and just after every chunk boundary and closely after every edge."""
+    train = edges_from_square_wave(
+        chip.core_ports[0], delta_i=25.0, freq_hz=1.0 / 60e-6,
+        n_events=12, start=start,
+    )
+    t_end = float(train.times[-1]) + 60e-6
+    span = _EXP_BUDGET / kernel._slow_rate_max
+    cuts = np.arange(1, int(t_end / span) + 1) * span
+    times = np.unique(np.concatenate([
+        np.linspace(0.0, t_end, 2048),
+        (cuts[:, None] + np.array([-1e-9, 0.0, 1e-9])).ravel(),
+        (train.times[:, None] + np.geomspace(1e-9, 50e-6, 24)).ravel(),
+    ]))
+    return train, times[times <= t_end]
+
+
+def same_port_pair(port):
+    """Two overlapping trains on one port."""
+    a = square_train(port, delta=9.0)
+    return a, EdgeTrain(port, a.times + 0.2e-6, -0.5 * a.deltas)
 
 
 class TestCompilation:
@@ -101,19 +131,7 @@ class TestEquivalence:
         isolated-edge train, 12 events 60 µs apart — agrees with the
         reference, sampled just before, on and just after every chunk
         boundary; the shifted train puts its first edge 1 ms in."""
-        train = edges_from_square_wave(
-            chip.core_ports[0], delta_i=25.0, freq_hz=1.0 / 60e-6,
-            n_events=12, start=start,
-        )
-        t_end = float(train.times[-1]) + 60e-6
-        span = _EXP_BUDGET / kernel._slow_rate_max
-        cuts = np.arange(1, int(t_end / span) + 1) * span
-        times = np.unique(np.concatenate([
-            np.linspace(0.0, t_end, 2048),
-            (cuts[:, None] + np.array([-1e-9, 0.0, 1e-9])).ravel(),
-            (train.times[:, None] + np.geomspace(1e-9, 50e-6, 24)).ravel(),
-        ]))
-        times = times[times <= t_end]
+        train, times = isolated_edges(chip, kernel, start)
         tiers = kernel._build_tiers(times, train.times)
         assert tiers.slow_decay.shape[0] > 1       # several chunks
         nodes = chip.core_nodes
@@ -133,8 +151,7 @@ class TestEquivalence:
         """Two trains on one port solve identically to their sorted
         concatenation as a single train."""
         port = chip.core_ports[2]
-        a = square_train(port, delta=9.0)
-        b = EdgeTrain(port, a.times + 0.2e-6, -0.5 * a.deltas)
+        a, b = same_port_pair(port)
         merged_times = np.concatenate([a.times, b.times])
         merged_deltas = np.concatenate([a.deltas, b.deltas])
         order = np.argsort(merged_times, kind="stable")
@@ -144,6 +161,199 @@ class TestEquivalence:
             kernel.evaluate([a, b], times),
             kernel.evaluate([merged], times),
         )
+
+
+def reference_block(kernel, grid, et, deltas, p, rows):
+    """One port's block by the miss path's earlier arithmetic, kept as
+    the bit-for-bit reference: tier bounds by a per-sample
+    ``searchsorted``, the DC outer product over every sample, the
+    slow-tier product inline and the window tier through one gather
+    from a packed (value | slope) table."""
+    times = grid.times
+    t_w = times - kernel.window
+    t_h = times - kernel.horizon
+    ks_w = np.searchsorted(et, t_w, side="left")
+    ks_h = np.searchsorted(et, t_h, side="left")
+
+    origins = kernel._chunk_origins(times)
+    if origins is None:
+        starts = np.zeros(1, dtype=np.intp)
+        first = starts
+        chunk_origins = np.zeros(1)
+    else:
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(origins)) + 1])
+        first = ks_h[starts]
+        chunk_origins = origins[starts]
+    sizes = np.diff(starts, append=times.size)
+    counts = ks_w[starts + sizes - 1] - first
+    slots = np.arange(int(counts.max()))
+    valid = slots < counts[:, None]
+    slow_edges = np.where(valid, first[:, None] + slots, 0)
+    slow_decay = np.zeros(valid.shape + kernel._lanes.shape, dtype=complex)
+    slow_decay[valid] = np.exp(np.outer(
+        et[slow_edges[valid]] - np.repeat(chunk_origins, counts),
+        -kernel._lanes,
+    ))
+    slow_w, slow_h = ks_w, ks_h
+    if origins is not None:
+        base = np.repeat(
+            np.arange(starts.size) * (slots.size + 1) - first, sizes
+        )
+        slow_w, slow_h = base + ks_w, base + ks_h
+
+    d_prefix = np.concatenate([[0.0], np.cumsum(deltas)])
+    d_at_h = d_prefix[ks_h]
+    block = np.outer(d_prefix[ks_w] - d_at_h, kernel._yss[p, rows])
+    block += np.outer(d_at_h, kernel._dc[p, rows])
+
+    n_chunks, n_slots, n_lanes = slow_decay.shape
+    p_prefix = np.zeros((n_chunks, n_slots + 1, n_lanes), dtype=complex)
+    np.cumsum(
+        deltas[slow_edges][:, :, None] * slow_decay,
+        axis=1, out=p_prefix[:, 1:],
+    )
+    p_prefix = p_prefix.reshape(-1, n_lanes)
+    phases = kernel._phase_matrix(grid)
+    mgw_p = np.ascontiguousarray(kernel._mgw[p][:, rows])
+    # Inline on purpose: see the operand-order note in the kernel.
+    block += np.real(
+        (phases * (p_prefix[slow_w] - p_prefix[slow_h])) @ mgw_p
+    )
+
+    expanded = _expand_ranges(
+        np.searchsorted(times, et, side="right"),
+        np.searchsorted(t_w, et, side="right"),
+    )
+    if expanded is not None:
+        win_sample, win_active, win_lengths = expanded
+        x = times[win_sample] - np.repeat(et[win_active], win_lengths)
+        step = kernel._window_step
+        n_knots = kernel._n_knots
+        win_idx = np.clip((x / step).astype(np.intp), 0, n_knots - 2)
+        win_frac = x - win_idx * step
+        wtab = np.empty((len(kernel.ports), n_knots, len(kernel.nodes)))
+        for i, port in enumerate(kernel.ports):
+            for j, node in enumerate(kernel.nodes):
+                wtab[i, :, j] = kernel.library._ramp[(port, node)][:n_knots]
+        wpack = np.concatenate(
+            [wtab[:, :-1, :], np.diff(wtab, axis=1) / step], axis=2
+        )
+        r, n = rows.size, len(kernel.nodes)
+        packed = wpack[p][:, np.concatenate([rows, rows + n])][win_idx]
+        vals = packed[:, :r] + win_frac[:, None] * packed[:, r:]
+        d_pair = np.repeat(deltas[win_active], win_lengths)
+        weighted = d_pair[:, None] * vals
+        for j in range(r):
+            block[:, j] += np.bincount(
+                win_sample, weights=weighted[:, j], minlength=times.size
+            )
+    return block
+
+
+def _isolated_edges(chip):
+    """Several slow-tier chunks, samples past the horizon."""
+    kernel = compile_kernel(chip.response_library)
+    train, times = isolated_edges(chip, kernel)
+    return [train], SampleGrid(times), chip.core_nodes
+
+
+def _dense_burst(chip):
+    """30 edges 5 ns apart: 20 or more inside one sample's window."""
+    times = np.arange(30) * 5e-9 + 1e-6
+    deltas = np.where(np.arange(30) % 2 == 0, 12.0, -7.0)
+    train = EdgeTrain(chip.core_ports[3], times, deltas)
+    grid = np.unique(np.concatenate([
+        np.linspace(0.0, 4e-6, 1024), np.linspace(1e-6, 1.3e-6, 601),
+    ]))
+    return [train], SampleGrid(grid), None
+
+
+def _runner_probes(chip):
+    """A segment as ``ChipRunner.build_stimulus`` builds it: six
+    phase-randomized trains on a probe-provenance grid."""
+    program = CurrentProgram(
+        name="didt-bits", i_low=14.0, i_high=32.0, freq_hz=2.6e6,
+        rise_time=11e-9,
+    )
+    batch = ChipRunner(chip).build_stimulus(
+        [program] * chip.n_cores, RunOptions(segments=1), run_tag="bits",
+    )
+    segment = batch.segments[0]
+    assert segment.samples.has_provenance
+    assert segment.samples.anchors is not None
+    return segment.trains, segment.samples, chip.core_nodes
+
+
+#: Stimuli on both sides of numpy's 256 KiB temporary-reuse threshold
+#: (4,096 samples × 4 slow lanes), which decides the operand order of
+#: the slow-tier product.
+MISS_PATH_STIMULI = {
+    "below-reuse": lambda chip: (
+        [square_train(chip.core_ports[0])],
+        SampleGrid(np.linspace(0.0, 30e-6, 2048)), None,
+    ),
+    "above-reuse": lambda chip: (
+        [square_train(port, delta=10.0 + 4.0 * i)
+         for i, port in enumerate(chip.core_ports[:3])],
+        SampleGrid(np.linspace(0.0, 30e-6, 6144)), chip.core_nodes,
+    ),
+    "past-horizon": lambda chip: (
+        [square_train(chip.core_ports[1])],
+        SampleGrid(np.linspace(0.0, 150e-6, 3000)), None,
+    ),
+    "isolated-edges": _isolated_edges,
+    "dense-burst": _dense_burst,
+    "runner-probes": _runner_probes,
+    "merged-same-port": lambda chip: (
+        list(same_port_pair(chip.core_ports[2])),
+        SampleGrid(np.linspace(0.0, 25e-6, 768)), None,
+    ),
+}
+
+
+class TestMissPathBits:
+    """Every computed block equals :func:`reference_block` bit for bit
+    (compared as ``int64``), so a rewrite of the miss path that moves
+    any block's last bit fails here on any host."""
+
+    @pytest.mark.parametrize("name", sorted(MISS_PATH_STIMULI))
+    def test_blocks_match_reference(self, chip, library, monkeypatch, name):
+        trains, grid, nodes = MISS_PATH_STIMULI[name](chip)
+        kernel = CompiledChipKernel(library)
+        computed = []
+        original = kernel._port_contribution
+
+        def spy(*args):
+            computed.append((args, original(*args)))
+            return computed[-1][1]
+
+        monkeypatch.setattr(kernel, "_port_contribution", spy)
+        kernel.evaluate(trains, grid, nodes=nodes)
+        assert len(computed) == len({t.port for t in trains})
+        for (seen, _, _, et, _, deltas, p, rows), block in computed:
+            reference = reference_block(kernel, seen, et, deltas, p, rows)
+            assert np.array_equal(
+                block.view(np.int64), reference.T.view(np.int64)
+            )
+
+    def test_stimuli_cover_the_tier_cases(self, chip, library):
+        """The stimuli above reach what the reference must pin: both
+        sides of the reuse threshold, several chunks, samples past the
+        horizon and 20 or more edges in one sample's window."""
+        kernel = CompiledChipKernel(library)
+        sizes, chunks, dc_tails, crowding = [], [], [], []
+        for build in MISS_PATH_STIMULI.values():
+            trains, grid, _ = build(chip)
+            et = np.sort(np.concatenate([t.times for t in trains]))
+            tiers = kernel._build_tiers(grid.times, et)
+            sizes.append(grid.times.size)
+            chunks.append(tiers.slow_decay.shape[0])
+            dc_tails.append(grid.times.size - tiers.dc_start)
+            crowding.append(np.bincount(tiers.win_sample).max())
+        assert min(sizes) < 4096 <= max(sizes)
+        assert max(chunks) > 1
+        assert max(dc_tails) > 0
+        assert max(crowding) >= 20
 
 
 class TestErrors:

@@ -89,6 +89,15 @@ class TestValidationErrors:
         with pytest.raises(SolverError, match="time base"):
             simulate_transient(rc_net(), {"vin": 1.0}, t_end=1e-9, dt=1e-6)
 
+    def test_non_finite_solution_names_its_step(self):
+        def load(times):
+            return np.where(times >= 10e-9, np.inf, 0.0)
+
+        with pytest.raises(SolverError, match="diverged at step 10$"):
+            simulate_transient(
+                rc_net(), {"vin": 1.0, "load": load}, t_end=1e-7, dt=1e-9
+            )
+
     def test_unknown_observe_node(self):
         with pytest.raises(SolverError, match="unknown node"):
             simulate_transient(
