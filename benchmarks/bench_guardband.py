@@ -9,7 +9,7 @@ from repro.analysis.guardband import build_policy, guardband_savings
 
 
 def _evaluate(ctx):
-    policy = build_policy(ctx.delta_i_points())
+    policy = build_policy(ctx.delta_i_sweep().run(ctx.session))
     profiles = {
         # Degenerate single-bucket profiles are rejected outright
         # (GuardbandProfileError), so "fully utilized" carries an

@@ -1,13 +1,15 @@
 """Benchmark harness fixtures.
 
-Each bench regenerates one of the paper's tables/figures at full
-fidelity and prints the same rows/series the paper reports.  The
-context (EPI profile, max-power search, chip solver artifacts, the
-shared ΔI mapping dataset) is built once per session.
+The benches here are the ablation and extension studies (DESIGN.md §3
+A1-A8) and the solver oracles; the paper's tables and figures are
+checked by the tier-1 reproduction contract (``tests/contract``).  The
+full-fidelity context (EPI profile, max-power search, chip solver
+artifacts) is built once per session.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/ --benchmark-only          # timed
+    pytest benchmarks/ -q --benchmark-disable    # asserts only
 """
 
 from __future__ import annotations

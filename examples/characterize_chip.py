@@ -8,7 +8,12 @@ PDN impedance profile — the simulation analogue of Figures 7a/7b/9.
 Run:  python examples/characterize_chip.py
 """
 
-from repro import ChipRunner, RunOptions, StressmarkGenerator, reference_chip
+from repro import (
+    RunOptions,
+    SimulationSession,
+    StressmarkGenerator,
+    reference_chip,
+)
 from repro.analysis.report import render_series
 from repro.analysis.sensitivity import (
     default_frequency_grid,
@@ -21,7 +26,7 @@ from repro.units import format_freq
 def main() -> None:
     generator = StressmarkGenerator(epi_repetitions=200)
     chip = reference_chip()
-    options = RunOptions(segments=6)
+    session = SimulationSession(chip, RunOptions(segments=6))
 
     # --- impedance profile (design-side view) -------------------------
     profile = impedance_profile(
@@ -35,11 +40,11 @@ def main() -> None:
     # --- measured noise sweep (workload-side view) ---------------------
     freqs = default_frequency_grid(points_per_decade=4)
     unsync = sweep_stimulus_frequency(
-        generator, chip, freqs, synchronize=False, options=options
-    )
+        generator, chip, freqs, synchronize=False
+    ).run(session)
     synced = sweep_stimulus_frequency(
-        generator, chip, freqs, synchronize=True, options=options
-    )
+        generator, chip, freqs, synchronize=True
+    ).run(session)
     print()
     print(
         render_series(

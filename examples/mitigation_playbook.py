@@ -8,7 +8,12 @@ mechanism in turn, reporting what it buys and what it costs.
 Run:  python examples/mitigation_playbook.py
 """
 
-from repro import RunOptions, StressmarkGenerator, reference_chip
+from repro import (
+    RunOptions,
+    SimulationSession,
+    StressmarkGenerator,
+    reference_chip,
+)
 from repro.analysis.guardband import build_policy
 from repro.analysis.sensitivity import sweep_delta_i_mappings
 from repro.mitigation.guardband import GuardbandController
@@ -57,8 +62,8 @@ def main() -> None:
     # 4. Utilization-based dynamic guard-banding over a day of load.
     print("\n[guard-band] building the margin schedule from the ΔI study...")
     points = sweep_delta_i_mappings(
-        generator, chip, options=options, placements_per_distribution=2
-    )
+        generator, chip, placements_per_distribution=2
+    ).run(SimulationSession(chip, options))
     controller = GuardbandController(chip, build_policy(points))
     trace = synthetic_utilization_trace(seed=5)
     run = controller.run(trace)

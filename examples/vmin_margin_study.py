@@ -10,16 +10,21 @@ there is "plenty of margin for optimization opportunities".
 Run:  python examples/vmin_margin_study.py
 """
 
-from repro import RunOptions, StressmarkGenerator, reference_chip
+from repro import (
+    RunOptions,
+    SimulationSession,
+    StressmarkGenerator,
+    reference_chip,
+)
 from repro.analysis.margins import customer_margin_line
 from repro.analysis.report import render_table
-from repro.measure.vmin import run_vmin_experiment
+from repro.measure.vmin import vmin_experiment
 
 
 def main() -> None:
     generator = StressmarkGenerator(epi_repetitions=200)
     chip = reference_chip()
-    options = RunOptions(segments=6)
+    session = SimulationSession(chip, RunOptions(segments=6))
 
     scenarios = [
         ("sync, 1000 events, 2.6 MHz", dict(freq_hz=2.6e6, synchronize=True)),
@@ -34,7 +39,7 @@ def main() -> None:
     rows = []
     for name, spec in scenarios:
         program = generator.max_didt(**spec).current_program()
-        result = run_vmin_experiment(chip, [program] * 6, options=options)
+        result = vmin_experiment(chip, [program] * 6).run(session)
         rows.append([
             name,
             f"{result.margin_frac * 100:.1f}%",
@@ -45,8 +50,7 @@ def main() -> None:
     customer = customer_margin_line(
         chip,
         generator.max_didt(freq_hz=2.6e6, synchronize=False).current_program(),
-        options=options,
-    )
+    ).run(session)
     rows.append([
         "customer worst case (80% ΔI, no sync)",
         f"{customer.margin_frac * 100:.1f}%",

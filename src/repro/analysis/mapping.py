@@ -5,6 +5,10 @@ The worst-case noise of running k identical stressmarks depends on
 worse than spreading them across the clusters.  A noise-aware mapper
 can therefore shave worst-case noise — and with it, guard-band — by
 choosing placements.
+
+:func:`enumerate_mappings` and :func:`mapping_extremes` return
+:class:`~repro.plan.spec.Sweep` declarations: the campaign planner
+reads their runs and a session executes them.
 """
 
 from __future__ import annotations
@@ -12,19 +16,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..engine import SimulationSession
 from ..errors import ExperimentError
 from ..machine.chip import Chip
-from ..machine.runner import RunOptions
-from ..machine.workload import CurrentProgram
-from ..plan.spec import RunPlan
+from ..machine.workload import CurrentProgram, idle_program
+from ..plan.spec import Sweep
 
 __all__ = [
     "MappingOutcome",
     "MappingStudy",
-    "plan_enumerate_mappings",
     "enumerate_mappings",
-    "plan_mapping_extremes",
     "mapping_extremes",
 ]
 
@@ -68,15 +68,20 @@ class MappingStudy:
         return self.worst.worst_noise - self.best.worst_noise
 
 
-def _compile_placements(
+def enumerate_mappings(
     chip: Chip,
     program: CurrentProgram,
     n_workloads: int,
-    idle_current: float | None,
-):
-    """The exact (mappings, tags, placements) enumeration of the
-    C(n, k) placement study — shared by the plan compiler and the
-    executor."""
+    idle_current: float | None = None,
+) -> Sweep:
+    """Every placement of *n_workloads* copies of *program*.
+
+    ``idle_current`` feeds the unoccupied cores; defaults to the chip's
+    static current.  The C(n, k) placements are one batch (cached
+    placements replay; misses fan out over the session executor —
+    ``--jobs N`` on the Fig. 14/15 sweeps lands here); the value is
+    the :class:`MappingStudy`.
+    """
     n_cores = chip.n_cores
     if not 0 <= n_workloads <= n_cores:
         raise ExperimentError(
@@ -84,88 +89,48 @@ def _compile_placements(
         )
     if idle_current is None:
         idle_current = chip.config.core.static_power_w / chip.vnom
-    from ..machine.workload import idle_program
-
     idle = idle_program(idle_current)
     placements = list(itertools.combinations(range(n_cores), n_workloads))
-    mappings = [
-        [program if i in cores else idle for i in range(n_cores)]
-        for cores in placements
-    ]
-    tags: list[object] = [("mapping", cores) for cores in placements]
-    return mappings, tags, placements
 
-
-def plan_enumerate_mappings(
-    chip: Chip,
-    program: CurrentProgram,
-    n_workloads: int,
-    options: RunOptions | None = None,
-    idle_current: float | None = None,
-    figure: str | None = None,
-) -> RunPlan:
-    """The declarative form of :func:`enumerate_mappings`."""
-    mappings, tags, _ = _compile_placements(
-        chip, program, n_workloads, idle_current
-    )
-    return RunPlan.from_batch(
-        chip, mappings, tags, options or RunOptions(), figure
-    )
-
-
-def enumerate_mappings(
-    chip: Chip,
-    program: CurrentProgram,
-    n_workloads: int,
-    options: RunOptions | None = None,
-    idle_current: float | None = None,
-    session: SimulationSession | None = None,
-) -> MappingStudy:
-    """Run every placement of *n_workloads* copies of *program*.
-
-    ``idle_current`` feeds the unoccupied cores; defaults to the chip's
-    static current.  The C(6, k) placements execute as one session
-    batch (cached placements replay; misses fan out over the session
-    executor — ``--jobs N`` on the Fig. 14/15 sweeps lands here).
-    """
-    session = session or SimulationSession(chip, options)
-    mappings, tags, placements = _compile_placements(
-        chip, program, n_workloads, idle_current
-    )
-    results = session.run_many(mappings, tags=tags)
-    outcomes = [
-        MappingOutcome(cores=cores, p2p_by_core=result.p2p_by_core)
-        for cores, result in zip(placements, results)
-    ]
-    return MappingStudy(n_workloads=n_workloads, outcomes=outcomes)
-
-
-def plan_mapping_extremes(
-    chip: Chip,
-    program: CurrentProgram,
-    workload_counts: list[int],
-    options: RunOptions | None = None,
-    figure: str | None = None,
-) -> RunPlan:
-    """The declarative form of :func:`mapping_extremes` (Figure 15)."""
-    plan = RunPlan.for_chip(chip)
-    for k in workload_counts:
-        plan.extend(
-            plan_enumerate_mappings(chip, program, k, options, figure=figure)
+    def finish(results: list) -> MappingStudy:
+        return MappingStudy(
+            n_workloads=n_workloads,
+            outcomes=[
+                MappingOutcome(cores=cores, p2p_by_core=result.p2p_by_core)
+                for cores, result in zip(placements, results)
+            ],
         )
-    return plan
+
+    return Sweep(
+        mappings=tuple(
+            tuple(program if i in cores else idle for i in range(n_cores))
+            for cores in placements
+        ),
+        tags=tuple(("mapping", cores) for cores in placements),
+        finish=finish,
+    )
 
 
 def mapping_extremes(
     chip: Chip,
     program: CurrentProgram,
     workload_counts: list[int],
-    options: RunOptions | None = None,
-    session: SimulationSession | None = None,
-) -> dict[int, MappingStudy]:
-    """Best/worst mapping study per workload count (Figure 15)."""
-    session = session or SimulationSession(chip, options)
-    return {
-        k: enumerate_mappings(chip, program, k, options, session=session)
-        for k in workload_counts
-    }
+) -> Sweep:
+    """Best/worst mapping study per workload count (Figure 15): every
+    count's placements in one batch, valued as ``{count: study}``."""
+    studies = [enumerate_mappings(chip, program, k) for k in workload_counts]
+
+    def finish(results: list) -> dict[int, MappingStudy]:
+        valued = {}
+        cursor = 0
+        for k, study in zip(workload_counts, studies):
+            end = cursor + len(study.mappings)
+            valued[k] = study.finish(results[cursor:end])
+            cursor = end
+        return valued
+
+    return Sweep(
+        mappings=tuple(m for study in studies for m in study.mappings),
+        tags=tuple(t for study in studies for t in study.tags),
+        finish=finish,
+    )

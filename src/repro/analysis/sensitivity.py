@@ -1,22 +1,22 @@
-"""Sweep drivers for the paper's §V sensitivity studies.
+"""Sweep declarations for the paper's §V sensitivity studies.
 
-Each sweep is split into a *compiler* and an *executor*: the private
-``_compile_*`` helper enumerates the exact (mappings, tags) workload,
-the public ``plan_*`` function wraps that enumeration into a
-declarative :class:`~repro.plan.spec.RunPlan` (what the campaign
-planner dedups), and the public ``sweep_*`` function
-executes the same enumeration through a session and post-processes the
-results.  Compiler and executor share one code path, so a compiled
-plan's fingerprints are byte-identical to what execution computes —
-the property that makes pre-execution dedup counts exact.
+Each study function returns a :class:`~repro.plan.spec.Sweep`: the
+exact (mappings, tags) workload of the study plus how its results
+reduce to the study's value.  The campaign planner reads the runs
+(:meth:`~repro.plan.spec.Sweep.plan`) and a driver executes the same
+declaration through a session (:meth:`~repro.plan.spec.Sweep.run`),
+so a compiled plan's fingerprints are the executed ones by
+construction — the property that makes pre-execution dedup counts
+exact.
 
-Partial sweeps: every driver accepts ``on_failure`` (forwarded to the
-session it builds).  Under ``"collect"`` a shmoo-style campaign keeps
-the points that worked: runs that exhausted their retry budget are
-dropped from the returned dataset instead of aborting the sweep, each
-drop is counted (``engine.points_dropped``) and written to the event
-log (``point.dropped``), and the experiment layer marks the dropped
-count in the exported results.
+Partial sweeps: the three sweeps here are named (``fsweep``,
+``missweep``, ``disweep``).  On a session with
+``on_failure="collect"`` a shmoo-style campaign keeps the points that
+worked: runs that exhausted their retry budget are dropped from the
+returned dataset instead of aborting the sweep, each drop is counted
+(``engine.points_dropped``) and written to the event log
+(``point.dropped``), and the experiment layer marks the dropped count
+in the exported results.
 """
 
 from __future__ import annotations
@@ -28,46 +28,19 @@ import numpy as np
 
 from ..core.generator import StressmarkGenerator
 from ..core.sync import offset_assignments, spread_offsets
-from ..engine import SimulationSession
-from ..engine.resilience import RetryPolicy, RunFailure
 from ..errors import ExperimentError
 from ..machine.chip import Chip
-from ..machine.runner import RunOptions
-from ..machine.workload import CurrentProgram, idle_program
-from ..plan.spec import RunPlan
+from ..machine.workload import idle_program
+from ..plan.spec import Sweep
 
 __all__ = [
     "FrequencySweepPoint",
     "default_frequency_grid",
-    "plan_stimulus_frequency",
     "sweep_stimulus_frequency",
-    "plan_misalignment",
     "sweep_misalignment",
-    "plan_delta_i_mappings",
     "sweep_delta_i_mappings",
     "DeltaIMappingPoint",
 ]
-
-
-def _drop_failed_points(
-    results: list, tags: list, sweep: str, session: SimulationSession
-) -> list[int]:
-    """Indices of successful results; failed points (RunFailure records
-    returned under ``on_failure="collect"``) are accounted and traced.
-    """
-    kept: list[int] = []
-    for index, result in enumerate(results):
-        if isinstance(result, RunFailure):
-            session.telemetry.increment("engine.points_dropped")
-            session.telemetry.emit(
-                "point.dropped",
-                sweep=sweep,
-                run=tags[index],
-                error=f"{result.error_type}: {result.message}",
-            )
-        else:
-            kept.append(index)
-    return kept
 
 
 @dataclass
@@ -95,97 +68,69 @@ def default_frequency_grid(
     return [float(f) for f in np.logspace(np.log10(f_min), np.log10(f_max), n)]
 
 
-def _compile_fsweep(
+def sweep_stimulus_frequency(
     generator: StressmarkGenerator,
+    chip: Chip,
     frequencies: list[float],
     synchronize: bool,
-    n_events: int,
-    n_cores: int,
-):
-    """The exact (mappings, tags, marks) enumeration of the frequency
-    sweep — shared by the plan compiler and the executor."""
+    n_events: int = 1000,
+) -> Sweep:
+    """One copy of the max dI/dt stressmark per core at each stimulus
+    frequency (paper Figures 7a and 9).
+
+    All frequency points are independent, so they execute as one batch
+    — cached points replay, the rest fan out over the session
+    executor.  The value is one :class:`FrequencySweepPoint` per
+    frequency that solved.
+    """
     marks = [
         generator.max_didt(
             freq_hz=freq, synchronize=synchronize, n_events=n_events
         )
         for freq in frequencies
     ]
-    mappings = [[mark.current_program()] * n_cores for mark in marks]
-    tags: list[object] = [
-        ("fsweep", synchronize, freq) for freq in frequencies
-    ]
-    return mappings, tags, marks
+
+    def finish(results: list) -> list[FrequencySweepPoint]:
+        return [
+            FrequencySweepPoint(
+                freq_hz=freq,
+                achieved_freq_hz=mark.achieved_freq_hz,
+                p2p_by_core=result.p2p_by_core,
+            )
+            for freq, mark, result in zip(frequencies, marks, results)
+            if result is not None
+        ]
+
+    return Sweep(
+        mappings=tuple(
+            (mark.current_program(),) * chip.n_cores for mark in marks
+        ),
+        tags=tuple(("fsweep", synchronize, freq) for freq in frequencies),
+        finish=finish,
+        name="fsweep",
+    )
 
 
-def plan_stimulus_frequency(
+def sweep_misalignment(
     generator: StressmarkGenerator,
     chip: Chip,
-    frequencies: list[float],
-    synchronize: bool,
-    options: RunOptions | None = None,
-    n_events: int = 1000,
-    figure: str | None = None,
-) -> RunPlan:
-    """The declarative form of :func:`sweep_stimulus_frequency`: the
-    runs the sweep *would* execute, without executing anything."""
-    mappings, tags, _ = _compile_fsweep(
-        generator, frequencies, synchronize, n_events, chip.n_cores
-    )
-    return RunPlan.from_batch(
-        chip, mappings, tags, options or RunOptions(), figure
-    )
-
-
-def sweep_stimulus_frequency(
-    generator: StressmarkGenerator,
-    chip: Chip,
-    frequencies: list[float],
-    synchronize: bool,
-    options: RunOptions | None = None,
-    n_events: int = 1000,
-    session: SimulationSession | None = None,
-    retry: RetryPolicy | None = None,
-    on_failure: str | None = None,
-) -> list[FrequencySweepPoint]:
-    """Run one copy of the max dI/dt stressmark per core at each
-    stimulus frequency (paper Figures 7a and 9).
-
-    All frequency points are independent, so they execute as one
-    :meth:`~repro.engine.SimulationSession.run_many` batch — cached
-    points replay, the rest fan out over the session executor.  With
-    ``on_failure="collect"`` the sweep keeps the frequencies that
-    solved and drops (and traces) the rest.
-    """
-    session = session or SimulationSession(
-        chip, options, retry=retry, on_failure=on_failure or "raise"
-    )
-    mappings, tags, marks = _compile_fsweep(
-        generator, frequencies, synchronize, n_events, chip.n_cores
-    )
-    results = session.run_many(mappings, tags)
-    kept = _drop_failed_points(results, tags, "fsweep", session)
-    return [
-        FrequencySweepPoint(
-            freq_hz=frequencies[i],
-            achieved_freq_hz=marks[i].achieved_freq_hz,
-            p2p_by_core=results[i].p2p_by_core,
-        )
-        for i in kept
-    ]
-
-
-def _compile_missweep(
-    generator: StressmarkGenerator,
     max_misalignments: list[float],
-    freq_hz: float,
-    assignments_sample: int,
-    n_events: int,
-    n_cores: int,
-):
-    """The exact (mappings, tags, batches) enumeration of the
-    misalignment sweep — shared by the plan compiler and the executor.
+    freq_hz: float = 2.6e6,
+    assignments_sample: int = 6,
+    n_events: int = 1000,
+) -> Sweep:
+    """Noise versus maximum allowed misalignment (paper Figure 10).
+
+    For each maximum misalignment, stressmarks are spread evenly over
+    the 62.5 ns-gridded offsets and every sampled offset→core assignment
+    is executed; the value maps each misalignment to the per-core noise
+    averaged over its assignments.  The assignments of every
+    misalignment level form one batch.  Under collect mode a level
+    averages over the assignments that solved (a level whose every
+    assignment failed is dropped entirely).
     """
-    mappings: list[list[CurrentProgram]] = []
+    n_cores = chip.n_cores
+    mappings: list[tuple] = []
     tags: list[object] = []
     batches: list[tuple[float, int]] = []  # (misalignment, n_assignments)
     for max_mis in max_misalignments:
@@ -204,78 +149,26 @@ def _compile_missweep(
             offsets, n_cores=n_cores, sample=assignments_sample,
             seed=generator.seed,
         ):
-            mappings.append([marks[offset] for offset in assignment])
+            mappings.append(tuple(marks[offset] for offset in assignment))
             tags.append(("missweep", max_mis, count))
             count += 1
         batches.append((max_mis, count))
-    return mappings, tags, batches
 
+    def finish(results: list) -> dict[float, list[float]]:
+        averaged: dict[float, list[float]] = {}
+        cursor = 0
+        for max_mis, count in batches:
+            batch = results[cursor:cursor + count]
+            solved = [result for result in batch if result is not None]
+            cursor += count
+            if solved:
+                accumulator = np.zeros(n_cores)
+                for result in solved:
+                    accumulator += np.array(result.p2p_by_core)
+                averaged[max_mis] = list(accumulator / len(solved))
+        return averaged
 
-def plan_misalignment(
-    generator: StressmarkGenerator,
-    chip: Chip,
-    max_misalignments: list[float],
-    freq_hz: float = 2.6e6,
-    options: RunOptions | None = None,
-    assignments_sample: int = 6,
-    n_events: int = 1000,
-    figure: str | None = None,
-) -> RunPlan:
-    """The declarative form of :func:`sweep_misalignment`."""
-    mappings, tags, _ = _compile_missweep(
-        generator, max_misalignments, freq_hz, assignments_sample, n_events,
-        chip.n_cores,
-    )
-    return RunPlan.from_batch(
-        chip, mappings, tags, options or RunOptions(), figure
-    )
-
-
-def sweep_misalignment(
-    generator: StressmarkGenerator,
-    chip: Chip,
-    max_misalignments: list[float],
-    freq_hz: float = 2.6e6,
-    options: RunOptions | None = None,
-    assignments_sample: int = 6,
-    n_events: int = 1000,
-    session: SimulationSession | None = None,
-    retry: RetryPolicy | None = None,
-    on_failure: str | None = None,
-) -> dict[float, list[float]]:
-    """Noise versus maximum allowed misalignment (paper Figure 10).
-
-    For each maximum misalignment, stressmarks are spread evenly over
-    the 62.5 ns-gridded offsets and every sampled offset→core assignment
-    is executed; returns, per misalignment, the per-core noise averaged
-    over assignments.  The assignments of every misalignment level form
-    one independent batch executed through the session.  With
-    ``on_failure="collect"`` a misalignment level averages over the
-    assignments that solved (a level whose every assignment failed is
-    dropped entirely).
-    """
-    session = session or SimulationSession(
-        chip, options, retry=retry, on_failure=on_failure or "raise"
-    )
-    mappings, tags, batches = _compile_missweep(
-        generator, max_misalignments, freq_hz, assignments_sample, n_events,
-        chip.n_cores,
-    )
-    run_results = session.run_many(mappings, tags)
-    kept = set(_drop_failed_points(run_results, tags, "missweep", session))
-    results: dict[float, list[float]] = {}
-    cursor = 0
-    for max_mis, count in batches:
-        accumulator = np.zeros(chip.n_cores)
-        solved = 0
-        for index in range(cursor, cursor + count):
-            if index in kept:
-                accumulator += np.array(run_results[index].p2p_by_core)
-                solved += 1
-        cursor += count
-        if solved:
-            results[max_mis] = list(accumulator / solved)
-    return results
+    return Sweep(tuple(mappings), tuple(tags), finish, name="missweep")
 
 
 @dataclass
@@ -319,16 +212,28 @@ def _distinct_placements(
     return [distinct[int(i)] for i in indices]
 
 
-def _compile_disweep(
+def sweep_delta_i_mappings(
     generator: StressmarkGenerator,
-    freq_hz: float,
-    workload_filter: Callable[[tuple[int, int]], bool] | None,
-    placements_per_distribution: int,
-    n_cores: int,
-):
-    """The exact (mappings, tags, planned, full_delta) enumeration of
-    the ΔI mapping dataset — shared by the plan compiler and the
-    executor (and, via the figure tags, by Figures 11a/11b/13a)."""
+    chip: Chip,
+    freq_hz: float = 2.6e6,
+    workload_filter: Callable[[tuple[int, int]], bool] | None = None,
+    placements_per_distribution: int = 4,
+) -> Sweep:
+    """Workload→core mappings of {idle, medium, max} dI/dt.
+
+    Following §V-D: the medium stressmark generates half the ΔI of the
+    maximum one and everything is synchronized to maximize noise.  For
+    each (#max, #medium) distribution, up to
+    ``placements_per_distribution`` distinct core placements are
+    executed (the paper runs all of them; the deterministic sample keeps
+    the dataset rich enough for the correlation and mapping studies at a
+    fraction of the runs).  The whole dataset is one batch; Figures
+    11a, 11b and 13a declare the identical batch and so share its
+    cached runs.  Under collect mode the dataset keeps the mappings
+    that solved, numbered contiguously — a fault-degraded shmoo
+    campaign still yields its partial scatter.
+    """
+    n_cores = chip.n_cores
     max_prog = generator.max_didt(
         freq_hz=freq_hz, synchronize=True
     ).current_program()
@@ -353,75 +258,31 @@ def _compile_disweep(
             for placement in placements:
                 planned.append((placement, distribution, delta))
 
-    mappings = [
-        [by_level[level] for level in placement]
-        for placement, _, _ in planned
-    ]
-    tags: list[object] = [("disweep", placement) for placement, _, _ in planned]
-    return mappings, tags, planned, full_delta
+    def finish(results: list) -> list[DeltaIMappingPoint]:
+        solved = [
+            (entry, result)
+            for entry, result in zip(planned, results)
+            if result is not None
+        ]
+        return [
+            DeltaIMappingPoint(
+                mapping_id=mapping_id,
+                placement=placement,
+                distribution=distribution,
+                delta_i_pct=100.0 * delta / full_delta,
+                p2p_by_core=result.p2p_by_core,
+                active_cores=sum(distribution),
+            )
+            for mapping_id, ((placement, distribution, delta), result)
+            in enumerate(solved)
+        ]
 
-
-def plan_delta_i_mappings(
-    generator: StressmarkGenerator,
-    chip: Chip,
-    freq_hz: float = 2.6e6,
-    options: RunOptions | None = None,
-    workload_filter: Callable[[tuple[int, int]], bool] | None = None,
-    placements_per_distribution: int = 4,
-    figure: str | None = None,
-) -> RunPlan:
-    """The declarative form of :func:`sweep_delta_i_mappings`."""
-    mappings, tags, _, _ = _compile_disweep(
-        generator, freq_hz, workload_filter, placements_per_distribution,
-        chip.n_cores,
+    return Sweep(
+        mappings=tuple(
+            tuple(by_level[level] for level in placement)
+            for placement, _, _ in planned
+        ),
+        tags=tuple(("disweep", placement) for placement, _, _ in planned),
+        finish=finish,
+        name="disweep",
     )
-    return RunPlan.from_batch(
-        chip, mappings, tags, options or RunOptions(), figure
-    )
-
-
-def sweep_delta_i_mappings(
-    generator: StressmarkGenerator,
-    chip: Chip,
-    freq_hz: float = 2.6e6,
-    options: RunOptions | None = None,
-    workload_filter: Callable[[tuple[int, int]], bool] | None = None,
-    placements_per_distribution: int = 4,
-    session: SimulationSession | None = None,
-    retry: RetryPolicy | None = None,
-    on_failure: str | None = None,
-) -> list[DeltaIMappingPoint]:
-    """Run workload→core mappings of {idle, medium, max} dI/dt.
-
-    Following §V-D: the medium stressmark generates half the ΔI of the
-    maximum one and everything is synchronized to maximize noise.  For
-    each (#max, #medium) distribution, up to
-    ``placements_per_distribution`` distinct core placements are
-    executed (the paper runs all of them; the deterministic sample keeps
-    the dataset rich enough for the correlation and mapping studies at a
-    fraction of the runs).  The whole dataset executes as one session
-    batch; Figures 11a, 11b and 13a address the identical batch and so
-    share its cached runs.  With ``on_failure="collect"`` the dataset
-    keeps the mappings that solved — a fault-degraded shmoo campaign
-    still yields its partial scatter.
-    """
-    session = session or SimulationSession(
-        chip, options, retry=retry, on_failure=on_failure or "raise"
-    )
-    mappings, tags, planned, full_delta = _compile_disweep(
-        generator, freq_hz, workload_filter, placements_per_distribution,
-        chip.n_cores,
-    )
-    results = session.run_many(mappings, tags)
-    kept = _drop_failed_points(results, tags, "disweep", session)
-    return [
-        DeltaIMappingPoint(
-            mapping_id=mapping_id,
-            placement=planned[index][0],
-            distribution=planned[index][1],
-            delta_i_pct=100.0 * planned[index][2] / full_delta,
-            p2p_by_core=results[index].p2p_by_core,
-            active_cores=sum(planned[index][1]),
-        )
-        for mapping_id, index in enumerate(kept)
-    ]

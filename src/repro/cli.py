@@ -949,6 +949,8 @@ def _family_member_metrics(context, results: dict) -> dict:
     Fig. 7a sweep measured (its peak run replays from the session
     cache, so the Vmin probe costs no extra solve), plus the ΔI
     ceiling when Fig. 11a ran."""
+    from .analysis.sensitivity import sweep_stimulus_frequency
+
     metrics: dict = {
         "resonance_freq_hz": None,
         "peak_p2p_pct": None,
@@ -960,14 +962,10 @@ def _family_member_metrics(context, results: dict) -> dict:
         peak_freq = fig7a.data["peak_freq_hz"]
         metrics["resonance_freq_hz"] = peak_freq
         metrics["peak_p2p_pct"] = fig7a.data["peak_p2p"]
-        mapping = [
-            context.generator.max_didt(
-                freq_hz=peak_freq, synchronize=False
-            ).current_program()
-        ] * context.chip.n_cores
-        replay = context.session.run_many(
-            [mapping], [("fsweep", False, peak_freq)]
-        )[0]
+        peak = sweep_stimulus_frequency(
+            context.generator, context.chip, [peak_freq], synchronize=False
+        )
+        replay = context.session.run_many(peak.mappings, peak.tags)[0]
         metrics["worst_vmin_v"] = float(replay.worst_vmin)
     fig11a = results.get("fig11a")
     if fig11a is not None:
@@ -1495,11 +1493,11 @@ def _run_control(args: argparse.Namespace) -> int:
     import json
 
     from .control.study import (
-        CONTROL_RUN_TAG,
         DEFAULT_DEPTHS,
         DEFAULT_DURATIONS,
         DEFAULT_GAINS,
         attack_surface,
+        control_baseline,
         gain_sweep,
     )
     from .experiments.ctrl import attack_table, control_mapping, gain_table
@@ -1507,7 +1505,7 @@ def _run_control(args: argparse.Namespace) -> int:
     context = quick_context() if args.quick else default_context()
     mapping = control_mapping(context)
     try:
-        baseline = context.session.run(mapping, run_tag=CONTROL_RUN_TAG)
+        baseline = control_baseline(mapping).run(context.session)
         if args.study == "gain-sweep":
             gains = (
                 _parse_number_list(args.gains, float, "--gains")

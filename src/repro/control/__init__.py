@@ -13,7 +13,7 @@ The stack, bottom-up:
 * :class:`ClosedLoopRun` — the loop binding, R-Unit violation
   accounting and summary metrics;
 * :mod:`repro.control.study` — the ``ctrl-gain`` / ``ctrl-attack``
-  experiment drivers (plan-compiled, CLI- and serve-drivable).
+  studies over one declared baseline run (CLI- and serve-drivable).
 
 See DESIGN.md §15 for the architecture and the state-carry invariant.
 """
@@ -29,8 +29,8 @@ from .loop import SOLVER_LABEL, ClosedLoopRun, loop_summary
 from .study import (
     CONTROL_RUN_TAG,
     attack_surface,
+    control_baseline,
     gain_sweep,
-    plan_control_experiment,
     results_identical,
 )
 
@@ -46,7 +46,7 @@ __all__ = [
     "loop_summary",
     "SOLVER_LABEL",
     "CONTROL_RUN_TAG",
-    "plan_control_experiment",
+    "control_baseline",
     "gain_sweep",
     "attack_surface",
     "results_identical",

@@ -1,10 +1,11 @@
 """The closed-loop studies: controller-gain sweep and attack surface.
 
-Both studies post-process ONE solved stimulus.  The plan compiler
-declares a single nominal baseline run under :data:`CONTROL_RUN_TAG`
-(the vmin-experiment pattern), so control campaigns dedup and run on
-the fleet like everything else; the driver executes that baseline through the
-engine session (cache-addressed) and then steps the closed loop on a
+Both studies post-process ONE solved stimulus.  :func:`control_baseline`
+declares that single nominal baseline run under
+:data:`CONTROL_RUN_TAG` (the vmin-experiment pattern), so control
+campaigns dedup and run on the fleet like everything else; a driver
+executes it through the engine session (cache-addressed) and then
+steps the closed loop on a
 :class:`~repro.engine.stepping.SteppingSession` built from the *same*
 ``(mapping, options, run_tag)`` triple.  Because every built-in
 controller actuates the supply bias only — a pure offset under the
@@ -20,13 +21,12 @@ along with every sweep.
 
 from __future__ import annotations
 
-from ..engine import SimulationSession
 from ..engine.stepping import SteppingSession
 from ..machine.chip import Chip
 from ..machine.runner import RunOptions, RunResult
 from ..machine.workload import CurrentProgram
 from ..measure.runit import RUnit, RUnitConfig
-from ..plan.spec import RunPlan
+from ..plan.spec import Sweep
 from .controllers import AdversarialUndervolter, IntegralPowerController
 from .loop import SOLVER_LABEL, ClosedLoopRun
 
@@ -35,13 +35,13 @@ __all__ = [
     "DEFAULT_GAINS",
     "DEFAULT_DEPTHS",
     "DEFAULT_DURATIONS",
-    "plan_control_experiment",
+    "control_baseline",
     "results_identical",
     "gain_sweep",
     "attack_surface",
 ]
 
-#: The run tag every control study executes under — the plan compiler
+#: The run tag every control study executes under — the baseline run
 #: and the stepping session must agree byte-for-byte, so the baseline
 #: run's fingerprint is shared across plan, CLI and serve paths.
 CONTROL_RUN_TAG = "control"
@@ -56,18 +56,15 @@ DEFAULT_DEPTHS = (5, 10, 15, 20, 25, 30)
 DEFAULT_DURATIONS = (1, 2, 4)
 
 
-def plan_control_experiment(
-    chip: Chip,
-    mapping: list[CurrentProgram | None],
-    options: RunOptions | None = None,
-    figure: str | None = None,
-) -> RunPlan:
-    """Declarative form of a control study: the single nominal baseline
-    run it needs (the closed loop itself is deterministic
-    post-processing of that stimulus)."""
-    plan = RunPlan.for_chip(chip)
-    plan.add(mapping, CONTROL_RUN_TAG, options or RunOptions(), figure)
-    return plan
+def control_baseline(mapping: list[CurrentProgram | None]) -> Sweep:
+    """A control study's single nominal baseline run (the closed loop
+    itself is deterministic post-processing of that stimulus); the
+    value is its :class:`RunResult`."""
+    return Sweep(
+        mappings=(tuple(mapping),),
+        tags=(CONTROL_RUN_TAG,),
+        finish=lambda results: results[0],
+    )
 
 
 def results_identical(a: RunResult, b: RunResult) -> bool:
@@ -89,24 +86,20 @@ def gain_sweep(
     mapping: list[CurrentProgram | None],
     options: RunOptions | None = None,
     *,
+    baseline: RunResult,
     gains: tuple[float, ...] = DEFAULT_GAINS,
     setpoint: float = 0.85,
     windows_per_segment: int = 8,
     runit_config: RUnitConfig | None = None,
-    baseline: RunResult | None = None,
-    session: SimulationSession | None = None,
 ) -> dict:
     """Droop/overshoot/settling-time vs integral-controller gain.
 
     One stepping session serves every gain (bias-only actuation keeps
     the solved segment blocks across :meth:`rewind`s).  Returns a JSON-safe
     dict: per-gain loop summaries plus the stepping ≡ monolithic
-    equivalence verdict against *baseline* (computed through *session*
-    or a fresh engine session when not supplied).
+    equivalence verdict against *baseline* (the
+    :func:`control_baseline` run's result).
     """
-    if baseline is None:
-        session = session or SimulationSession(chip, options)
-        baseline = session.run(mapping, run_tag=CONTROL_RUN_TAG)
     stepping = SteppingSession(
         chip,
         mapping,
@@ -151,12 +144,11 @@ def attack_surface(
     mapping: list[CurrentProgram | None],
     options: RunOptions | None = None,
     *,
+    baseline: RunResult,
     depths: tuple[int, ...] = DEFAULT_DEPTHS,
     durations: tuple[int, ...] = DEFAULT_DURATIONS,
     windows_per_segment: int = 8,
     runit_config: RUnitConfig | None = None,
-    baseline: RunResult | None = None,
-    session: SimulationSession | None = None,
 ) -> dict:
     """Vmin-violation heatmap over (undervolt depth, pulse duration,
     alignment with dI/dt stress).
@@ -166,11 +158,9 @@ def attack_surface(
     unaligned (window 0) — and scored by R-Unit violations.  The
     returned frontier gives, per duration and alignment, the shallowest
     depth that produced a violation: the attack surface the guard-band
-    must defend.
+    must defend.  *baseline* is the :func:`control_baseline` run's
+    result.
     """
-    if baseline is None:
-        session = session or SimulationSession(chip, options)
-        baseline = session.run(mapping, run_tag=CONTROL_RUN_TAG)
     stepping = SteppingSession(
         chip,
         mapping,

@@ -1,9 +1,9 @@
 """Experiment drivers: one module per paper table/figure.
 
 Each driver regenerates the rows/series of its table or figure on the
-simulated platform and renders them as text; the benchmark harness
-(``benchmarks/``) wraps these drivers one-to-one, and EXPERIMENTS.md
-records paper-vs-measured for each.
+simulated platform and renders them as text; the tier-1 reproduction
+contract (``tests/contract``) checks their full-fidelity exports, and
+EXPERIMENTS.md records paper-vs-measured for each.
 
 Use :func:`repro.experiments.registry.get_experiment` /
 :func:`repro.experiments.registry.all_experiments` for programmatic

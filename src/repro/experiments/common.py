@@ -28,17 +28,13 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ..analysis.sensitivity import (
-    DeltaIMappingPoint,
-    plan_delta_i_mappings,
-    sweep_delta_i_mappings,
-)
+from ..analysis.sensitivity import sweep_delta_i_mappings
 from ..chips import ChipSpec, build_chip, reference_spec
 from ..core.generator import StressmarkGenerator
 from ..engine import SimulationSession
 from ..machine.chip import Chip
 from ..machine.runner import ChipRunner, RunOptions
-from ..plan import RunPlan
+from ..plan.spec import Sweep
 
 __all__ = [
     "ExperimentContext",
@@ -68,7 +64,8 @@ class ExperimentContext:
     spec: ChipSpec | None = None
     #: ``"raise"`` aborts an experiment on a permanently failed run;
     #: ``"collect"`` (the CLI's ``--on-failure collect``) keeps partial
-    #: sweeps — the drivers drop and trace the failed points instead.
+    #: sweeps — named sweeps drop and trace the failed points, and a
+    #: study that needs every run still fails.
     on_failure: str = "raise"
     _session: SimulationSession | None = field(default=None, repr=False)
 
@@ -88,28 +85,15 @@ class ExperimentContext:
         """The raw (uncached) runner underneath the session."""
         return self.session.runner
 
-    def delta_i_points(self) -> list[DeltaIMappingPoint]:
-        """The ΔI workload-mapping dataset (Figures 11 and 13a); its
-        runs are served from the engine cache after the first sweep."""
+    def delta_i_sweep(self) -> Sweep:
+        """The ΔI workload-mapping dataset (Figures 11 and 13a): the one
+        sweep Figures 11a, 11b and 13a all yield, so the campaign
+        planner collapses their requests to one set of unique runs and
+        the engine cache solves them once."""
         return sweep_delta_i_mappings(
             self.generator,
             self.chip,
             freq_hz=self.resonant_freq_hz,
-            options=self.options,
-            placements_per_distribution=self.delta_i_placements,
-            session=self.session,
-        )
-
-    def plan_delta_i_points(self) -> RunPlan:
-        """The declarative form of :meth:`delta_i_points` — the one
-        dataset Figures 11a, 11b and 13a all compile to, so the
-        campaign planner collapses their requests to a single set of
-        unique runs."""
-        return plan_delta_i_mappings(
-            self.generator,
-            self.chip,
-            freq_hz=self.resonant_freq_hz,
-            options=self.options,
             placements_per_distribution=self.delta_i_placements,
         )
 

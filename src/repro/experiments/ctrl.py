@@ -3,7 +3,7 @@
 Not a paper figure: the execution of the paper's §VII-B optimization
 opportunity (and its adversarial dual) as online controllers stepping
 the transient engine — see :mod:`repro.control.study`.  Both drivers
-plan a single nominal baseline run (shared with every other study of
+yield a single nominal baseline run (shared with every other study of
 the same worst-case mapping) and post-process it through the stepping
 engine, carrying the stepping ≡ monolithic equivalence verdict in
 their exported data.
@@ -12,16 +12,10 @@ their exported data.
 from __future__ import annotations
 
 from ..analysis.report import render_table
-from ..control.study import (
-    CONTROL_RUN_TAG,
-    attack_surface,
-    gain_sweep,
-    plan_control_experiment,
-)
+from ..control.study import attack_surface, control_baseline, gain_sweep
 from ..machine.workload import CurrentProgram
-from ..plan import RunPlan
 from .common import ExperimentContext
-from .registry import ExperimentResult, register, register_plan
+from .registry import ExperimentResult, register
 
 
 def control_mapping(context: ExperimentContext) -> list[CurrentProgram | None]:
@@ -32,13 +26,6 @@ def control_mapping(context: ExperimentContext) -> list[CurrentProgram | None]:
         freq_hz=context.resonant_freq_hz, synchronize=True
     )
     return [mark.current_program()] * context.chip.n_cores
-
-
-@register_plan("ctrl-gain")
-def plan_ctrl_gain(context: ExperimentContext) -> RunPlan:
-    return plan_control_experiment(
-        context.chip, control_mapping(context), context.options
-    )
 
 
 def gain_table(data: dict) -> str:
@@ -107,9 +94,9 @@ def attack_table(data: dict) -> str:
 
 
 @register("ctrl-gain", "Closed-loop integral regulator: gain sweep")
-def run_gain(context: ExperimentContext) -> ExperimentResult:
+def run_gain(context: ExperimentContext):
     mapping = control_mapping(context)
-    baseline = context.session.run(mapping, run_tag=CONTROL_RUN_TAG)
+    baseline = yield control_baseline(mapping)
     data = gain_sweep(
         context.chip, mapping, context.options, baseline=baseline
     )
@@ -121,17 +108,10 @@ def run_gain(context: ExperimentContext) -> ExperimentResult:
     )
 
 
-@register_plan("ctrl-attack")
-def plan_ctrl_attack(context: ExperimentContext) -> RunPlan:
-    return plan_control_experiment(
-        context.chip, control_mapping(context), context.options
-    )
-
-
 @register("ctrl-attack", "Adversarial undervolting attack surface")
-def run_attack(context: ExperimentContext) -> ExperimentResult:
+def run_attack(context: ExperimentContext):
     mapping = control_mapping(context)
-    baseline = context.session.run(mapping, run_tag=CONTROL_RUN_TAG)
+    baseline = yield control_baseline(mapping)
     data = attack_surface(
         context.chip, mapping, context.options, baseline=baseline
     )

@@ -10,38 +10,20 @@ synchronization effect.
 from __future__ import annotations
 
 from ..analysis.report import render_series
-from ..analysis.sensitivity import plan_misalignment, sweep_misalignment
+from ..analysis.sensitivity import sweep_misalignment
 from ..machine.tod import TOD_STEP
-from ..plan import RunPlan
 from .common import ExperimentContext
-from .registry import ExperimentResult, register, register_plan
-
-
-def _misalignments() -> list[float]:
-    return [k * TOD_STEP for k in range(0, 11)]  # 0 .. 625 ns
-
-
-@register_plan("fig10")
-def plan_fig10(context: ExperimentContext) -> RunPlan:
-    return plan_misalignment(
-        context.generator,
-        context.chip,
-        _misalignments(),
-        freq_hz=context.resonant_freq_hz,
-        options=context.options,
-        assignments_sample=context.misalignment_assignments,
-    )
+from .registry import ExperimentResult, register
 
 
 @register("fig10", "Noise vs. maximum allowed ΔI misalignment")
-def run(context: ExperimentContext) -> ExperimentResult:
-    misalignments = _misalignments()
-    results = sweep_misalignment(
+def run(context: ExperimentContext):
+    misalignments = [k * TOD_STEP for k in range(0, 11)]  # 0 .. 625 ns
+    results = yield sweep_misalignment(
         context.generator,
         context.chip,
         misalignments,
         freq_hz=context.resonant_freq_hz,
-        session=context.session,
         assignments_sample=context.misalignment_assignments,
     )
     xs = [f"{m * 1e9:.1f}ns" for m in misalignments]

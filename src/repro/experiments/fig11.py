@@ -16,24 +16,13 @@ from collections import defaultdict
 import numpy as np
 
 from ..analysis.report import render_table
-from ..plan import RunPlan
 from .common import ExperimentContext
-from .registry import ExperimentResult, register, register_plan
-
-
-@register_plan("fig11a")
-def plan_fig11a(context: ExperimentContext) -> RunPlan:
-    return context.plan_delta_i_points()
-
-
-@register_plan("fig11b")
-def plan_fig11b(context: ExperimentContext) -> RunPlan:
-    return context.plan_delta_i_points()
+from .registry import ExperimentResult, register
 
 
 @register("fig11a", "Max noise vs. % of maximum ΔI across mappings")
-def run_fig11a(context: ExperimentContext) -> ExperimentResult:
-    points = context.delta_i_points()
+def run_fig11a(context: ExperimentContext):
+    points = yield context.delta_i_sweep()
     # Max noise observed at each ΔI level, with the active-core count
     # (the paper's dotted regions).
     by_delta: dict[float, list] = defaultdict(list)
@@ -66,8 +55,8 @@ def run_fig11a(context: ExperimentContext) -> ExperimentResult:
 
 
 @register("fig11b", "Average noise vs. workload distribution")
-def run_fig11b(context: ExperimentContext) -> ExperimentResult:
-    points = context.delta_i_points()
+def run_fig11b(context: ExperimentContext):
+    points = yield context.delta_i_sweep()
     rows = []
     by_distribution = {}
     for point in points:

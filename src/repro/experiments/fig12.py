@@ -17,85 +17,54 @@ experiment undervolts to first failure.  Findings to reproduce:
 
 from __future__ import annotations
 
-from ..analysis.margins import customer_margin_line, plan_customer_margin_line
+from ..analysis.margins import customer_margin_line
 from ..analysis.report import render_table
-from ..measure.vmin import plan_vmin_experiment, run_vmin_experiment
-from ..plan import RunPlan
+from ..measure.vmin import vmin_experiment
 from ..units import format_freq
 from .common import ExperimentContext
-from .registry import ExperimentResult, register, register_plan
+from .registry import ExperimentResult, register
 
 EVENT_COUNTS = [1, 2, 10, 1000]
 FREQS = [1.0, 3.7e4, 2.6e6, 1e7, 1e8]
 
 
-@register_plan("fig12")
-def plan_fig12(context: ExperimentContext) -> RunPlan:
+@register("fig12", "Available margin vs. consecutive ΔI events and frequency")
+def run(context: ExperimentContext):
     generator = context.generator
     chip = context.chip
-    plan = RunPlan.for_chip(chip)
-    for freq in FREQS:
-        for count in EVENT_COUNTS:
+
+    def program(count, freq):
+        if count == "inf":  # unsynchronized: ∞ events, free phases
+            mark = generator.max_didt(freq_hz=freq, synchronize=False)
+        else:
             mark = generator.max_didt(
                 freq_hz=freq, synchronize=True, n_events=count
             )
-            plan.extend(
-                plan_vmin_experiment(
-                    chip, [mark.current_program()] * chip.n_cores, context.options
-                )
-            )
-        mark = generator.max_didt(freq_hz=freq, synchronize=False)
-        plan.extend(
-            plan_vmin_experiment(
-                chip, [mark.current_program()] * chip.n_cores, context.options
-            )
-        )
-    plan.extend(
-        plan_customer_margin_line(
+        return mark.current_program()
+
+    cases = [
+        (count, freq) for freq in FREQS for count in [*EVENT_COUNTS, "inf"]
+    ]
+    *results, customer = yield (
+        *(
+            vmin_experiment(chip, [program(count, freq)] * chip.n_cores)
+            for count, freq in cases
+        ),
+        customer_margin_line(
             chip,
             generator.max_didt(
                 freq_hz=context.resonant_freq_hz, synchronize=False
             ).current_program(),
-            options=context.options,
-        )
+        ),
     )
-    return plan
-
-
-@register("fig12", "Available margin vs. consecutive ΔI events and frequency")
-def run(context: ExperimentContext) -> ExperimentResult:
-    generator = context.generator
-    chip = context.chip
-    rows = []
     margins: dict[tuple[object, float], float] = {}
-
-    for freq in FREQS:
-        for count in EVENT_COUNTS:
-            mark = generator.max_didt(
-                freq_hz=freq, synchronize=True, n_events=count
-            )
-            result = run_vmin_experiment(
-                chip, [mark.current_program()] * chip.n_cores, session=context.session
-            )
-            margins[(count, freq)] = result.margin_frac
-            rows.append(
-                [str(count), format_freq(freq), f"{result.margin_frac * 100:.1f}%"]
-            )
-        # The unsynchronized (∞ events) case.
-        mark = generator.max_didt(freq_hz=freq, synchronize=False)
-        result = run_vmin_experiment(
-            chip, [mark.current_program()] * chip.n_cores, session=context.session
+    rows = []
+    for (count, freq), result in zip(cases, results):
+        margins[(count, freq)] = result.margin_frac
+        label = "inf/nosync" if count == "inf" else str(count)
+        rows.append(
+            [label, format_freq(freq), f"{result.margin_frac * 100:.1f}%"]
         )
-        margins[("inf", freq)] = result.margin_frac
-        rows.append(["inf/nosync", format_freq(freq), f"{result.margin_frac * 100:.1f}%"])
-
-    customer = customer_margin_line(
-        chip,
-        generator.max_didt(
-            freq_hz=context.resonant_freq_hz, synchronize=False
-        ).current_program(),
-        session=context.session,
-    )
     rows.append(["customer-80%", "worst-case", f"{customer.margin_frac * 100:.1f}%"])
 
     text = render_table(

@@ -16,20 +16,14 @@ from ..analysis.correlation import correlation_matrix, detect_clusters
 from ..analysis.propagation import propagation_traces
 from ..analysis.report import render_table
 from ..pdn.topology import row_cores
-from ..plan import RunPlan
 from .common import ExperimentContext
-from .registry import ExperimentResult, register, register_plan
-
-
-@register_plan("fig13a")
-def plan_fig13a(context: ExperimentContext) -> RunPlan:
-    # Identical dataset to Fig. 11a/11b — the planner dedups it.
-    return context.plan_delta_i_points()
+from .registry import ExperimentResult, register
 
 
 @register("fig13a", "Inter-core noise correlation across mappings")
-def run_fig13a(context: ExperimentContext) -> ExperimentResult:
-    points = context.delta_i_points()
+def run_fig13a(context: ExperimentContext):
+    # The Fig. 11a/11b dataset — the planner dedups it.
+    points = yield context.delta_i_sweep()
     n_cores = context.chip.n_cores
     matrix = correlation_matrix(points)
     clusters = detect_clusters(matrix)

@@ -12,49 +12,35 @@ from __future__ import annotations
 from ..analysis.mapping import MappingOutcome
 from ..analysis.report import render_table
 from ..machine.workload import idle_program
-from ..plan import RunPlan
+from ..plan.spec import Sweep
 from .common import ExperimentContext
-from .registry import ExperimentResult, register, register_plan
+from .registry import ExperimentResult, register
 
 CROSS_CLUSTER = (1, 4, 5)
 SAME_CLUSTER = (0, 2, 4)
 
 
-def _compile_fig14(context: ExperimentContext):
-    """The exact (mappings, tags) the driver issues — shared with the
-    plan compiler."""
+@register("fig14", "Best-vs-worst mapping of three stressmarks")
+def run(context: ExperimentContext):
+    # These two placements are a subset of the exhaustive Fig. 15 study;
+    # running them through the session replays its cached results.
     program = context.generator.max_didt(
         freq_hz=context.resonant_freq_hz, synchronize=True
     ).current_program()
     idle = idle_program(context.generator.target.idle_current)
     placements = (CROSS_CLUSTER, SAME_CLUSTER)
-    mappings = [
-        [program if c in cores else idle
-         for c in range(context.chip.n_cores)]
-        for cores in placements
-    ]
-    tags: list[object] = [("fig14", cores) for cores in placements]
-    return mappings, tags, placements
-
-
-@register_plan("fig14")
-def plan_fig14(context: ExperimentContext) -> RunPlan:
-    mappings, tags, _ = _compile_fig14(context)
-    return RunPlan.from_batch(
-        context.chip, mappings, tags, context.options
+    outcomes: dict[tuple[int, ...], MappingOutcome] = yield Sweep(
+        mappings=tuple(
+            tuple(program if c in cores else idle
+                  for c in range(context.chip.n_cores))
+            for cores in placements
+        ),
+        tags=tuple(("fig14", cores) for cores in placements),
+        finish=lambda results: {
+            cores: MappingOutcome(cores=cores, p2p_by_core=result.p2p_by_core)
+            for cores, result in zip(placements, results)
+        },
     )
-
-
-@register("fig14", "Best-vs-worst mapping of three stressmarks")
-def run(context: ExperimentContext) -> ExperimentResult:
-    # These two placements are a subset of the exhaustive Fig. 15 study;
-    # running them through the session replays its cached results.
-    mappings, tags, placements = _compile_fig14(context)
-    results = context.session.run_many(mappings, tags=tags)
-    outcomes: dict[tuple[int, ...], MappingOutcome] = {
-        cores: MappingOutcome(cores=cores, p2p_by_core=result.p2p_by_core)
-        for cores, result in zip(placements, results)
-    }
 
     rows = []
     for cores, outcome in outcomes.items():

@@ -10,34 +10,20 @@ extremes, where there is no placement freedom.
 
 from __future__ import annotations
 
-from ..analysis.mapping import mapping_extremes, plan_mapping_extremes
+from ..analysis.mapping import mapping_extremes
 from ..analysis.report import render_table
-from ..plan import RunPlan
 from .common import ExperimentContext
-from .registry import ExperimentResult, register, register_plan
-
-
-@register_plan("fig15")
-def plan_fig15(context: ExperimentContext) -> RunPlan:
-    program = context.generator.max_didt(
-        freq_hz=context.resonant_freq_hz, synchronize=True
-    ).current_program()
-    return plan_mapping_extremes(
-        context.chip, program,
-        workload_counts=list(range(0, context.chip.n_cores + 1)),
-        options=context.options,
-    )
+from .registry import ExperimentResult, register
 
 
 @register("fig15", "Worst-case noise reduction via workload mapping")
-def run(context: ExperimentContext) -> ExperimentResult:
+def run(context: ExperimentContext):
     program = context.generator.max_didt(
         freq_hz=context.resonant_freq_hz, synchronize=True
     ).current_program()
-    studies = mapping_extremes(
+    studies = yield mapping_extremes(
         context.chip, program,
         workload_counts=list(range(0, context.chip.n_cores + 1)),
-        session=context.session,
     )
     rows = []
     deltas = {}

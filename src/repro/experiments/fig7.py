@@ -13,38 +13,21 @@ from __future__ import annotations
 from ..analysis.report import render_series
 from ..analysis.sensitivity import (
     default_frequency_grid,
-    plan_stimulus_frequency,
     sweep_stimulus_frequency,
 )
 from ..pdn.impedance import find_resonances, impedance_profile
-from ..plan import RunPlan
 from ..units import format_freq
 from .common import ExperimentContext
-from .registry import ExperimentResult, register, register_plan
-
-
-@register_plan("fig7a")
-def plan_fig7a(context: ExperimentContext) -> RunPlan:
-    freqs = default_frequency_grid(
-        points_per_decade=context.freq_points_per_decade
-    )
-    return plan_stimulus_frequency(
-        context.generator, context.chip, freqs,
-        synchronize=False, options=context.options,
-    )
+from .registry import ExperimentResult, register
 
 
 @register("fig7a", "Noise vs. stimulus frequency (unsynchronized)")
-def run_fig7a(context: ExperimentContext) -> ExperimentResult:
+def run_fig7a(context: ExperimentContext):
     freqs = default_frequency_grid(
         points_per_decade=context.freq_points_per_decade
     )
-    points = sweep_stimulus_frequency(
-        context.generator,
-        context.chip,
-        freqs,
-        synchronize=False,
-        session=context.session,
+    points = yield sweep_stimulus_frequency(
+        context.generator, context.chip, freqs, synchronize=False
     )
     series = {
         f"core{c} %p2p": [p.p2p_by_core[c] for p in points]

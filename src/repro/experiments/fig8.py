@@ -7,35 +7,19 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.report import render_table
-from ..measure.oscilloscope import capture_trace, plan_capture_trace
-from ..plan import RunPlan
+from ..measure.oscilloscope import capture_trace
 from ..units import format_freq, format_time
 from .common import ExperimentContext
-from .registry import ExperimentResult, register, register_plan
-
-
-@register_plan("fig8")
-def plan_fig8(context: ExperimentContext) -> RunPlan:
-    program = context.generator.max_didt(
-        freq_hz=context.resonant_freq_hz, synchronize=True
-    ).current_program()
-    return plan_capture_trace(
-        context.chip,
-        [program] * context.chip.n_cores,
-        options=context.options,
-    )
+from .registry import ExperimentResult, register
 
 
 @register("fig8", "Oscilloscope shot of voltage noise on core 0")
-def run(context: ExperimentContext) -> ExperimentResult:
+def run(context: ExperimentContext):
     mark = context.generator.max_didt(
         freq_hz=context.resonant_freq_hz, synchronize=True
     )
     program = mark.current_program()
-    trace = capture_trace(
-        context.chip, [program] * context.chip.n_cores, node="core0",
-        session=context.session,
-    )
+    trace = yield capture_trace([program] * context.chip.n_cores, node="core0")
     period = 1.0 / program.freq_hz
     # The burst occupies the head of the capture; crop a settled window.
     start = 2 * period

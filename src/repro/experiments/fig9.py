@@ -11,49 +11,29 @@ from __future__ import annotations
 from ..analysis.report import render_series
 from ..analysis.sensitivity import (
     default_frequency_grid,
-    plan_stimulus_frequency,
     sweep_stimulus_frequency,
 )
-from ..plan import RunPlan
 from ..units import format_freq
 from .common import ExperimentContext
-from .registry import ExperimentResult, register, register_plan
-
-
-@register_plan("fig9")
-def plan_fig9(context: ExperimentContext) -> RunPlan:
-    freqs = default_frequency_grid(
-        points_per_decade=context.freq_points_per_decade
-    )
-    plan = plan_stimulus_frequency(
-        context.generator, context.chip, freqs,
-        synchronize=True, options=context.options, n_events=1000,
-    )
-    # The unsynchronized reference sweep — identical runs to Fig. 7a,
-    # which is exactly the sharing the campaign planner dedups.
-    plan.extend(
-        plan_stimulus_frequency(
-            context.generator, context.chip, freqs,
-            synchronize=False, options=context.options,
-        )
-    )
-    return plan
+from .registry import ExperimentResult, register
 
 
 @register("fig9", "Noise vs. stimulus frequency (synchronized every 4 ms)")
-def run(context: ExperimentContext) -> ExperimentResult:
+def run(context: ExperimentContext):
     freqs = default_frequency_grid(
         points_per_decade=context.freq_points_per_decade
     )
-    synced = sweep_stimulus_frequency(
-        context.generator, context.chip, freqs,
-        synchronize=True, session=context.session, n_events=1000,
-    )
-    # The unsynchronized reference is the Fig. 7a sweep; running it
-    # through the shared session replays its cached points.
-    unsynced = sweep_stimulus_frequency(
-        context.generator, context.chip, freqs,
-        synchronize=False, session=context.session,
+    # The unsynchronized reference is the Fig. 7a sweep — identical
+    # runs, which the campaign planner dedups and the shared session
+    # replays from its cache.
+    synced, unsynced = yield (
+        sweep_stimulus_frequency(
+            context.generator, context.chip, freqs,
+            synchronize=True, n_events=1000,
+        ),
+        sweep_stimulus_frequency(
+            context.generator, context.chip, freqs, synchronize=False
+        ),
     )
     series = {
         f"core{c} %p2p": [p.p2p_by_core[c] for p in synced]

@@ -1,31 +1,36 @@
 """Experiment registry and the shared result record.
 
-Each experiment driver may register two callables: the *executor*
-(:func:`register`) that runs the experiment and renders its result, and
-the *plan compiler* (:func:`register_plan`) that returns the
-declarative :class:`~repro.plan.spec.RunPlan` of exactly the chip runs
-the executor would issue.  :func:`compile_campaign` merges the plans of
-a multi-figure campaign into one deduplicated
-:class:`~repro.plan.planner.CampaignPlan` — the object the
-``repro-noise plan`` dry-run reports on and ``repro-noise fleet``
-leases out.
+A driver with chip runs is a generator: it yields its
+:class:`~repro.plan.spec.Sweep` (or a tuple of them) exactly once,
+receives the sweeps' values, and returns its
+:class:`ExperimentResult`.  Drivers without runs (``table1``,
+``fig7b``, ``fig13b``) are plain functions.  Both planning and
+execution read that one yield: :func:`compile_plan` advances a driver
+to it and builds the :class:`~repro.plan.spec.RunPlan` without
+executing anything, and the registered callable runs the sweeps
+through the context's session and sends their values back.
+:func:`compile_campaign` merges the plans of a multi-figure campaign
+into one deduplicated :class:`~repro.plan.planner.CampaignPlan` — the
+object the ``repro-noise plan`` dry-run reports on and ``repro-noise
+fleet`` leases out.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..errors import ExperimentError
 from ..obs import get_telemetry
 from ..plan import CampaignPlan, RunPlan
+from ..plan.spec import Sweep
 from .common import ExperimentContext, context_for_spec, default_context
 
 __all__ = [
     "ExperimentResult",
     "register",
-    "register_plan",
     "get_experiment",
     "all_experiments",
     "run_experiment",
@@ -62,10 +67,33 @@ class ExperimentResult:
 
 
 ExperimentFn = Callable[[ExperimentContext], ExperimentResult]
-PlanFn = Callable[[ExperimentContext], RunPlan]
 
-_REGISTRY: dict[str, tuple[str, ExperimentFn]] = {}
-_PLANS: dict[str, PlanFn] = {}
+#: experiment id → (title, executing callable, driver as written).
+_REGISTRY: dict[str, tuple[str, ExperimentFn, Callable]] = {}
+
+
+def _sweeps(yielded) -> tuple[Sweep, ...]:
+    return yielded if isinstance(yielded, tuple) else (yielded,)
+
+
+def _drive(experiment_id: str, fn: Callable, context: ExperimentContext):
+    """Run driver *fn*: execute the sweeps of its one yield through
+    the context's session and send their values back."""
+    if not inspect.isgeneratorfunction(fn):
+        return fn(context)
+    driver = fn(context)
+    try:
+        yielded = next(driver)
+        session = context.session
+        values = tuple(sweep.run(session) for sweep in _sweeps(yielded))
+        driver.send(values if isinstance(yielded, tuple) else values[0])
+    except StopIteration as done:
+        return done.value
+    finally:
+        driver.close()
+    raise ExperimentError(
+        f"experiment {experiment_id!r} yielded its sweeps more than once"
+    )
 
 
 def register(experiment_id: str, title: str):
@@ -84,7 +112,7 @@ def register(experiment_id: str, title: str):
             dropped_before = telemetry.counter("engine.points_dropped")
             with telemetry.span(f"experiment.{experiment_id}"):
                 with telemetry.time(f"experiment.{experiment_id}.seconds"):
-                    result = fn(context)
+                    result = _drive(experiment_id, fn, context)
             dropped = (
                 telemetry.counter("engine.points_dropped") - dropped_before
             )
@@ -95,26 +123,8 @@ def register(experiment_id: str, title: str):
                 result.data.setdefault("dropped_points", dropped)
             return result
 
-        _REGISTRY[experiment_id] = (title, timed)
+        _REGISTRY[experiment_id] = (title, timed, fn)
         return timed
-
-    return wrap
-
-
-def register_plan(experiment_id: str):
-    """Decorator registering an experiment's *plan compiler*: a
-    function returning the :class:`RunPlan` of exactly the chip runs
-    the registered executor would issue (same mappings, same tags, same
-    options — fingerprint-identical, which is what makes planner dedup
-    counts match execution counts)."""
-
-    def wrap(fn: PlanFn) -> PlanFn:
-        if experiment_id in _PLANS:
-            raise ExperimentError(
-                f"duplicate plan compiler for {experiment_id!r}"
-            )
-        _PLANS[experiment_id] = fn
-        return fn
 
     return wrap
 
@@ -123,20 +133,20 @@ def compile_plan(
     experiment_id: str, context: ExperimentContext | None = None
 ) -> RunPlan:
     """The declarative run plan of one experiment, attributed to its
-    id.  Experiments without chip runs (``fig7b``, ``fig13b``,
-    ``table1`` — pure analysis of the platform) compile to an empty
-    plan."""
-    _ensure_loaded()
-    if experiment_id not in _REGISTRY:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ExperimentError(
-            f"unknown experiment {experiment_id!r}; known: {known}"
-        )
+    id: the runs of the sweeps its driver yields, read without
+    executing anything.  Experiments without chip runs (``fig7b``,
+    ``fig13b``, ``table1`` — pure analysis of the platform) compile to
+    an empty plan."""
+    fn = _entry(experiment_id)[2]
     context = context or default_context()
-    compiler = _PLANS.get(experiment_id)
-    if compiler is None:
-        return RunPlan.for_chip(context.chip)
-    return compiler(context).tagged(experiment_id)
+    plan = RunPlan.for_chip(context.chip)
+    if inspect.isgeneratorfunction(fn):
+        driver = fn(context)
+        yielded = next(driver)
+        driver.close()
+        for sweep in _sweeps(yielded):
+            plan.extend(sweep.plan(context.chip, context.options))
+    return plan.tagged(experiment_id)
 
 
 def compile_campaign(
@@ -202,19 +212,23 @@ def _ensure_loaded() -> None:
 def all_experiments() -> dict[str, str]:
     """Mapping of experiment id → title."""
     _ensure_loaded()
-    return {eid: title for eid, (title, _) in sorted(_REGISTRY.items())}
+    return {eid: entry[0] for eid, entry in sorted(_REGISTRY.items())}
 
 
-def get_experiment(experiment_id: str) -> ExperimentFn:
-    """The driver function for *experiment_id*."""
+def _entry(experiment_id: str) -> tuple[str, ExperimentFn, Callable]:
     _ensure_loaded()
     try:
-        return _REGISTRY[experiment_id][1]
+        return _REGISTRY[experiment_id]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise ExperimentError(
             f"unknown experiment {experiment_id!r}; known: {known}"
         ) from None
+
+
+def get_experiment(experiment_id: str) -> ExperimentFn:
+    """The driver function for *experiment_id*."""
+    return _entry(experiment_id)[1]
 
 
 def run_experiment(

@@ -21,7 +21,7 @@ from .counters import CounterReading, read_counters
 from .powermeter import PowerMeter
 from .oscilloscope import TraceCapture, capture_trace
 from .runit import RUnitConfig, RUnit
-from .vmin import VminResult, run_vmin_experiment
+from .vmin import VminResult, vmin_experiment
 
 __all__ = [
     "SkitterConfig",
@@ -35,5 +35,5 @@ __all__ = [
     "RUnitConfig",
     "RUnit",
     "VminResult",
-    "run_vmin_experiment",
+    "vmin_experiment",
 ]

@@ -12,40 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine import SimulationSession
 from ..errors import MeasurementError
-from ..machine.chip import Chip
-from ..machine.runner import RunOptions
 from ..machine.workload import CurrentProgram
-from ..plan.spec import RunPlan
+from ..plan.spec import Sweep
 
-__all__ = ["TraceCapture", "plan_capture_trace", "capture_trace"]
+__all__ = ["TraceCapture", "capture_trace"]
 
 #: The run tag every scope capture executes under.
 SCOPE_RUN_TAG = "oscilloscope"
-
-
-def scope_options(options: RunOptions | None) -> RunOptions:
-    """The scope variant of *options*: waveform collection on, one
-    segment — exactly what :func:`capture_trace`'s derived session
-    runs under, so planned and executed fingerprints agree."""
-    from dataclasses import replace
-
-    return replace(
-        options or RunOptions(), collect_waveforms=True, segments=1
-    )
-
-
-def plan_capture_trace(
-    chip: Chip,
-    mapping: list[CurrentProgram | None],
-    options: RunOptions | None = None,
-    figure: str | None = None,
-) -> RunPlan:
-    """The declarative form of :func:`capture_trace`."""
-    plan = RunPlan.for_chip(chip)
-    plan.add(mapping, SCOPE_RUN_TAG, scope_options(options), figure)
-    return plan
 
 
 @dataclass
@@ -79,25 +53,30 @@ class TraceCapture:
 
 
 def capture_trace(
-    chip: Chip,
     mapping: list[CurrentProgram | None],
     node: str = "core0",
     samples: int = 4000,
-    options: RunOptions | None = None,
-    session: SimulationSession | None = None,
-) -> TraceCapture:
+) -> Sweep:
     """Run *mapping* once and capture the voltage at *node*.
 
     The capture window covers the simulated burst (a 20 µs-class shot
-    at the paper's 2 MHz stimulus).  The run executes through a scope
-    variant of the session (waveform collection on, one segment) — the
-    caller's options are copied, never mutated.
+    at the paper's 2 MHz stimulus).  The run executes under a scope
+    variant of the session's options (waveform collection on, one
+    segment) — a copy, never a mutation.  The value is the
+    :class:`TraceCapture`.
     """
-    session = session or SimulationSession(chip, options)
-    scope = session.derive(collect_waveforms=True, segments=1)
-    result = scope.run(mapping, run_tag=SCOPE_RUN_TAG)
-    if node not in result.waveforms:
-        raise MeasurementError(f"node {node!r} was not recorded")
-    times, volts = result.waveforms[node]
-    uniform = np.linspace(times[0], times[-1], samples)
-    return TraceCapture(uniform, np.interp(uniform, times, volts), node)
+
+    def finish(results: list) -> TraceCapture:
+        waveforms = results[0].waveforms
+        if node not in waveforms:
+            raise MeasurementError(f"node {node!r} was not recorded")
+        times, volts = waveforms[node]
+        uniform = np.linspace(times[0], times[-1], samples)
+        return TraceCapture(uniform, np.interp(uniform, times, volts), node)
+
+    return Sweep(
+        mappings=(tuple(mapping),),
+        tags=(SCOPE_RUN_TAG,),
+        finish=finish,
+        overrides={"collect_waveforms": True, "segments": 1},
+    )

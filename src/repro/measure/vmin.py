@@ -19,19 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine import SimulationSession
 from ..errors import MeasurementError
 from ..machine.chip import Chip
-from ..machine.runner import RunOptions
+from ..machine.runner import RunResult
 from ..machine.system import VOLTAGE_STEP, ServiceElement
 from ..machine.workload import CurrentProgram
-from ..plan.spec import RunPlan
+from ..plan.spec import Sweep
 from .runit import RUnit, RUnitConfig
 
-__all__ = ["VminResult", "plan_vmin_experiment", "run_vmin_experiment"]
+__all__ = ["VminResult", "vmin_experiment"]
 
-#: The run tag every Vmin experiment executes under — the plan
-#: compiler and the executor must agree on it byte-for-byte.
+#: The run tag every Vmin experiment executes under.
 VMIN_RUN_TAG = "vmin"
 
 #: Hardware dwell per voltage step (the paper: 0.5 % every two minutes).
@@ -64,40 +62,40 @@ class VminResult:
     worst_vmin_nominal: float
 
 
-def plan_vmin_experiment(
-    chip: Chip,
-    mapping: list[CurrentProgram | None],
-    options: RunOptions | None = None,
-    figure: str | None = None,
-) -> RunPlan:
-    """The declarative form of :func:`run_vmin_experiment`: the single
-    nominal-bias run it needs (the undervolting walk itself is pure
-    post-processing of that waveform)."""
-    plan = RunPlan.for_chip(chip)
-    plan.add(mapping, VMIN_RUN_TAG, options or RunOptions(), figure)
-    return plan
-
-
-def run_vmin_experiment(
+def vmin_experiment(
     chip: Chip,
     mapping: list[CurrentProgram | None],
     runit_config: RUnitConfig | None = None,
-    options: RunOptions | None = None,
     max_steps: int = 40,
-    session: SimulationSession | None = None,
-) -> VminResult:
+) -> Sweep:
     """Undervolt in 0.5 % steps until the R-Unit sees the first error.
 
-    The workload's noise waveform is measured once at nominal (through
-    the engine session, so a mapping another study already solved
-    replays from the result cache); each bias step rescales the supply
+    The workload's noise waveform is one nominal-bias run (through the
+    engine session, so a mapping another study already solved replays
+    from the result cache); each bias step rescales the supply
     component, exactly as the physical experiment holds the workload
-    fixed while walking the VRM setpoint.
+    fixed while walking the VRM setpoint.  The value is the
+    :class:`VminResult`.
     """
     if max_steps < 1:
         raise MeasurementError("need at least one undervolt step")
-    session = session or SimulationSession(chip, options)
-    result = session.run(mapping, run_tag=VMIN_RUN_TAG)
+    return Sweep(
+        mappings=(tuple(mapping),),
+        tags=(VMIN_RUN_TAG,),
+        finish=lambda results: _undervolt(
+            chip, mapping, results[0], runit_config, max_steps
+        ),
+    )
+
+
+def _undervolt(
+    chip: Chip,
+    mapping: list[CurrentProgram | None],
+    result: RunResult,
+    runit_config: RUnitConfig | None,
+    max_steps: int,
+) -> VminResult:
+    """The undervolting walk over one nominal-bias run's waveform."""
     worst_nominal = result.worst_vmin
     droop_below_nominal = chip.vnom - worst_nominal
     if droop_below_nominal < 0:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from ..analysis.mapping import MappingStudy, enumerate_mappings
 from ..engine import SimulationSession
-from ..errors import ExperimentError
 from ..machine.chip import Chip
 from ..machine.runner import RunOptions
 from ..machine.workload import CurrentProgram
@@ -74,15 +73,9 @@ class NoiseAwareScheduler:
     def study(self, n_workloads: int) -> MappingStudy:
         """The exhaustive placement study for *n_workloads*; its runs
         are served from the engine cache after the first query."""
-        if not 0 <= n_workloads <= self.chip.n_cores:
-            raise ExperimentError(
-                f"cannot place {n_workloads} workloads on "
-                f"{self.chip.n_cores} cores"
-            )
         return enumerate_mappings(
-            self.chip, self.program, n_workloads, self.options,
-            session=self.session,
-        )
+            self.chip, self.program, n_workloads
+        ).run(self.session)
 
     def place(self, n_workloads: int) -> Placement:
         """Best placement of *n_workloads* copies of the workload."""

@@ -7,7 +7,9 @@ pipeline into **plan → dedup → execute**:
 
 * :mod:`repro.plan.spec` — :class:`PlannedRun` / :class:`RunPlan`:
   declarative, content-fingerprintable run specifications (what a
-  figure *would* execute);
+  figure *would* execute), and :class:`Sweep`: one study's runs
+  declared once, which the experiment drivers yield and both planning
+  and execution read;
 * :mod:`repro.plan.planner` — :class:`CampaignPlan`: merge the plans
   of a multi-figure campaign and deduplicate identical runs *before*
   execution, so cross-figure sharing (Fig. 7a/9's frequency sweep,
@@ -28,11 +30,12 @@ fleet (:mod:`repro.fleet`).  See DESIGN.md §9 for the plan model and
 from .execute import ExecutionReport, execute_plan, run_point_id
 from .family import FamilyCampaign, FamilyMember, FamilyReport, execute_family
 from .planner import CampaignPlan, UniqueRun
-from .spec import PlannedRun, RunPlan, chip_identity
+from .spec import PlannedRun, RunPlan, Sweep, chip_identity
 
 __all__ = [
     "PlannedRun",
     "RunPlan",
+    "Sweep",
     "chip_identity",
     "CampaignPlan",
     "UniqueRun",

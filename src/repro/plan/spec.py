@@ -6,6 +6,12 @@ and the figures that consume its result — without executing anything.
 A :class:`RunPlan` is an ordered list of planned runs over one chip:
 the declarative form of a sweep or an experiment driver's workload.
 
+A :class:`Sweep` is one study's runs declared once: its mappings and
+run tags plus how their results reduce to the study's value.
+:meth:`Sweep.plan` lists the runs without executing anything and
+:meth:`Sweep.run` executes them, so planning and execution read the
+same declaration.
+
 Plans are *fingerprintable*: every planned run has the same content
 address (:func:`repro.engine.fingerprint.run_fingerprint`) the engine
 cache uses at execution time, so the planner can count, deduplicate
@@ -15,15 +21,27 @@ the executed campaign provably runs exactly the planned set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+)
 
 from ..engine.fingerprint import canonical, content_key, run_fingerprint
+from ..engine.resilience import RunFailure
+from ..errors import ExecutionError
 from ..machine.chip import Chip, ChipConfig
 from ..machine.runner import RunOptions
 from ..machine.workload import CurrentProgram
 
-__all__ = ["PlannedRun", "RunPlan", "chip_identity"]
+if TYPE_CHECKING:
+    from ..engine.session import SimulationSession
+
+__all__ = ["PlannedRun", "RunPlan", "Sweep", "chip_identity"]
 
 
 def chip_identity(config: ChipConfig, chip_id: int = 0) -> str:
@@ -88,33 +106,6 @@ class RunPlan:
     def for_chip(cls, chip: Chip) -> "RunPlan":
         return cls(chip_fp=chip_identity(chip.config, chip.chip_id))
 
-    @classmethod
-    def from_batch(
-        cls,
-        chip: Chip,
-        mappings: Sequence[Sequence[CurrentProgram | None]],
-        tags: Sequence[object],
-        options: RunOptions,
-        figure: str | None = None,
-    ) -> "RunPlan":
-        """A plan from the ``(mappings, tags)`` pair a sweep compiler
-        produced — the batched shape :meth:`SimulationSession.run_many`
-        takes, made declarative."""
-        if len(mappings) != len(tags):
-            raise ValueError("mappings and tags must have equal length")
-        figures = frozenset({figure} if figure else ())
-        plan = cls.for_chip(chip)
-        for mapping, tag in zip(mappings, tags):
-            plan.runs.append(
-                PlannedRun(
-                    mapping=tuple(mapping),
-                    tag=tag,
-                    options=options,
-                    figures=figures,
-                )
-            )
-        return plan
-
     def add(
         self,
         mapping: Sequence[CurrentProgram | None],
@@ -163,3 +154,70 @@ class RunPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RunPlan({len(self.runs)} runs)"
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One study's chip runs, declared once.
+
+    Attributes
+    ----------
+    mappings, tags:
+        The runs in execution order, one run tag per mapping.
+    finish:
+        Reduces the batch's results, in run order, to the study's value.
+    overrides:
+        Run-option overrides the runs execute under (the scope
+        capture's waveform collection), applied to a copy of the
+        session's options.
+    name:
+        Names a sweep that can lose points.  Under
+        ``on_failure="collect"`` its failed runs reach *finish* as
+        ``None``, each counted (``engine.points_dropped``) and traced
+        (``point.dropped``).  An unnamed sweep needs every run, so a
+        failed run raises :class:`~repro.errors.ExecutionError`.
+    """
+
+    mappings: tuple
+    tags: tuple
+    finish: Callable[[list], object]
+    overrides: Mapping[str, object] = field(default_factory=dict)
+    name: str | None = None
+
+    def plan(self, chip: Chip, options: RunOptions) -> RunPlan:
+        """The runs this sweep would execute on *chip* under *options*,
+        without executing anything."""
+        options = replace(options, **self.overrides)
+        plan = RunPlan.for_chip(chip)
+        for mapping, tag in zip(self.mappings, self.tags):
+            plan.add(mapping, tag, options)
+        return plan
+
+    def run(self, session: "SimulationSession"):
+        """Execute the runs as one :meth:`~SimulationSession.run_many`
+        batch on *session* (cached runs replay) and return the study's
+        value."""
+        if self.overrides:
+            session = session.derive(**self.overrides)
+        results = session.run_many(self.mappings, self.tags)
+        failed = [
+            i for i, result in enumerate(results)
+            if isinstance(result, RunFailure)
+        ]
+        if failed and self.name is None:
+            raise ExecutionError(
+                f"{len(failed)} of {len(results)} run(s) failed and this "
+                "study cannot drop points: "
+                + "; ".join(results[i].describe() for i in failed),
+                [results[i] for i in failed],
+            )
+        for i in failed:
+            session.telemetry.increment("engine.points_dropped")
+            session.telemetry.emit(
+                "point.dropped",
+                sweep=self.name,
+                run=self.tags[i],
+                error=f"{results[i].error_type}: {results[i].message}",
+            )
+            results[i] = None
+        return self.finish(results)

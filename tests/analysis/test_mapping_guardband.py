@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.guardband import GuardbandPolicy, build_policy, guardband_savings
 from repro.analysis.mapping import enumerate_mappings, mapping_extremes
 from repro.analysis.sensitivity import DeltaIMappingPoint
+from repro.engine import SimulationSession
 from repro.errors import ExperimentError, GuardbandProfileError
 from repro.machine.runner import RunOptions
 from repro.machine.workload import CurrentProgram, SyncSpec
@@ -24,14 +25,19 @@ def options():
     return RunOptions(segments=2, base_samples=1024)
 
 
+@pytest.fixture(scope="module")
+def session(chip, options):
+    return SimulationSession(chip, options)
+
+
 class TestEnumerateMappings:
-    def test_counts_combinations(self, chip, options):
-        study = enumerate_mappings(chip, didt(), 2, options)
+    def test_counts_combinations(self, chip, session):
+        study = enumerate_mappings(chip, didt(), 2).run(session)
         assert len(study.outcomes) == 15  # C(6,2)
         assert {len(o.cores) for o in study.outcomes} == {2}
 
-    def test_best_no_worse_than_worst(self, chip, options):
-        study = enumerate_mappings(chip, didt(), 3, options)
+    def test_best_no_worse_than_worst(self, chip, session):
+        study = enumerate_mappings(chip, didt(), 3).run(session)
         assert study.best.worst_noise <= study.worst.worst_noise
         assert study.reduction_opportunity >= 0.0
 
@@ -61,17 +67,17 @@ class TestEnumerateMappings:
         cross_row = worst((0, 1, 3))
         assert same_row > cross_row
 
-    def test_zero_workloads(self, chip, options):
-        study = enumerate_mappings(chip, didt(), 0, options)
+    def test_zero_workloads(self, chip, session):
+        study = enumerate_mappings(chip, didt(), 0).run(session)
         assert len(study.outcomes) == 1
         assert study.reduction_opportunity == 0.0
 
-    def test_invalid_count_rejected(self, chip, options):
+    def test_invalid_count_rejected(self, chip):
         with pytest.raises(ExperimentError):
-            enumerate_mappings(chip, didt(), 7, options)
+            enumerate_mappings(chip, didt(), 7)
 
-    def test_extremes_driver(self, chip, options):
-        studies = mapping_extremes(chip, didt(), [0, 6], options)
+    def test_extremes_driver(self, chip, session):
+        studies = mapping_extremes(chip, didt(), [0, 6]).run(session)
         assert set(studies) == {0, 6}
         assert studies[6].reduction_opportunity == 0.0  # no freedom
 

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.analysis.margins import customer_margin_line
+from repro.engine import SimulationSession
 from repro.errors import ExperimentError
 from repro.machine.runner import RunOptions
 from repro.machine.workload import CurrentProgram, SyncSpec
-from repro.measure.vmin import run_vmin_experiment
+from repro.measure.vmin import vmin_experiment
 
 
 def max_mark(sync=True):
@@ -17,37 +18,38 @@ def max_mark(sync=True):
 
 
 @pytest.fixture(scope="module")
-def options():
-    return RunOptions(segments=2, base_samples=1024)
+def session(chip):
+    return SimulationSession(chip, RunOptions(segments=2, base_samples=1024))
 
 
 class TestCustomerMarginLine:
-    def test_customer_margin_exceeds_stressmark(self, chip, options):
-        stressmark = run_vmin_experiment(chip, [max_mark()] * 6, options=options)
-        customer = customer_margin_line(chip, max_mark(sync=False), options=options)
+    def test_customer_margin_exceeds_stressmark(self, chip, session):
+        stressmark = vmin_experiment(chip, [max_mark()] * 6).run(session)
+        customer = customer_margin_line(
+            chip, max_mark(sync=False)
+        ).run(session)
         # ~80% ΔI without sync leaves more margin than the full
         # synchronized stressmark.
         assert customer.margin_frac > stressmark.margin_frac
 
-    def test_customer_program_derates_delta_i(self, chip, options):
+    def test_customer_program_derates_delta_i(self, chip, session):
         full = max_mark(sync=False)
         low_fraction = customer_margin_line(
-            chip, full, delta_i_fraction=0.4, options=options
-        )
+            chip, full, delta_i_fraction=0.4
+        ).run(session)
         high_fraction = customer_margin_line(
-            chip, full, delta_i_fraction=1.0, options=options
-        )
+            chip, full, delta_i_fraction=1.0
+        ).run(session)
         assert low_fraction.margin_frac >= high_fraction.margin_frac
 
-    def test_invalid_fraction_rejected(self, chip, options):
+    def test_invalid_fraction_rejected(self, chip):
         with pytest.raises(ExperimentError):
             customer_margin_line(
-                chip, max_mark(sync=False), delta_i_fraction=0.0,
-                options=options,
+                chip, max_mark(sync=False), delta_i_fraction=0.0
             )
 
-    def test_customer_is_unsynchronized(self, chip, options):
+    def test_customer_is_unsynchronized(self, chip, session):
         # Even handed a synchronized stressmark, the customer derivative
         # must drop the sync (real code does not align swings).
-        result = customer_margin_line(chip, max_mark(sync=True), options=options)
+        result = customer_margin_line(chip, max_mark(sync=True)).run(session)
         assert result.margin_frac > 0.0

@@ -1,7 +1,14 @@
 """Partial (collect-mode) sweeps: failed points are dropped, counted
-and traced instead of aborting the whole campaign."""
+and traced instead of aborting the whole campaign; a study that needs
+every run fails with a named error instead."""
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +19,7 @@ from repro.analysis.sensitivity import (
 from repro.engine import ResultCache, SimulationSession
 from repro.engine.resilience import RetryPolicy
 from repro.errors import ExecutionError
+from repro.experiments import ExperimentContext, get_experiment
 from repro.faults import FaultPlan
 from repro.faults.harness import reset_fault_memo
 from repro.machine.runner import RunOptions
@@ -23,7 +31,7 @@ PERMANENT_FAULTS = FaultPlan(seed=5, exception_rate=0.4, transient=False)
 NO_RETRY = RetryPolicy(max_retries=0, backoff_base_s=0.0)
 
 
-def collect_session(chip, telemetry, events=None):
+def collect_session(chip, telemetry, events=None, faults=PERMANENT_FAULTS):
     reset_fault_memo()
     if events is not None:
         telemetry.enable_tracing(events=events)
@@ -34,7 +42,7 @@ def collect_session(chip, telemetry, events=None):
         jobs=1,
         retry=NO_RETRY,
         on_failure="collect",
-        faults=PERMANENT_FAULTS,
+        faults=faults,
         telemetry=telemetry,
     )
 
@@ -49,8 +57,8 @@ class TestCollectModeFrequencySweep:
             session = collect_session(chip, telemetry, events=log)
             points = sweep_stimulus_frequency(
                 generator, chip, frequencies, synchronize=True,
-                n_events=200, session=session,
-            )
+                n_events=200,
+            ).run(session)
         dropped = telemetry.counter("engine.points_dropped")
         assert dropped > 0, "fault plan never fired; adjust seed/rate"
         assert len(points) == len(frequencies) - dropped
@@ -81,8 +89,8 @@ class TestCollectModeFrequencySweep:
         with pytest.raises(ExecutionError):
             sweep_stimulus_frequency(
                 generator, chip, [1e6, 2e6, 2.6e6, 4e6, 8e6],
-                synchronize=True, n_events=200, session=session,
-            )
+                synchronize=True, n_events=200,
+            ).run(session)
 
 
 class TestCollectModeDeltaISweep:
@@ -90,11 +98,78 @@ class TestCollectModeDeltaISweep:
         telemetry = Telemetry()
         session = collect_session(chip, telemetry)
         points = sweep_delta_i_mappings(
-            generator, chip, session=session,
+            generator, chip,
             placements_per_distribution=1,
             workload_filter=lambda dist: dist[1] == 0,  # max-only column
-        )
+        ).run(session)
         assert telemetry.counter("engine.points_dropped") > 0
         assert points, "every point failed; adjust seed/rate"
         # mapping_ids stay contiguous over the surviving points.
         assert [p.mapping_id for p in points] == list(range(len(points)))
+
+
+class TestCollectModeWholeStudies:
+    """Only the named sweeps can drop points.  Under collect mode a
+    study that needs every run raises an ExecutionError naming the
+    failed runs, which the CLI reports per experiment."""
+
+    def test_study_without_drops_raises_named_error(self, generator, chip):
+        telemetry = Telemetry()
+        session = collect_session(
+            chip,
+            telemetry,
+            faults=FaultPlan(seed=5, exception_rate=1.0, transient=False),
+        )
+        context = ExperimentContext(
+            generator=generator,
+            chip=chip,
+            options=session.options,
+            on_failure="collect",
+            _session=session,
+        )
+        with pytest.raises(ExecutionError) as excinfo:
+            get_experiment("fig14")(context)
+        message = str(excinfo.value)
+        assert "2 of 2 run(s) failed" in message
+        assert "('fig14', (1, 4, 5))" in message
+        assert len(excinfo.value.failures) == 2
+        assert telemetry.counter("engine.points_dropped") == 0
+
+    def test_cli_reports_the_study_and_runs_the_rest(self, tmp_path):
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if not key.startswith("REPRO_")
+        }
+        env.update(
+            PYTHONPATH=str(src),
+            REPRO_FAULTS="exception=0.6,seed=4,permanent",
+        )
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "--quick",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--on-failure", "collect",
+                "run", "fig14", "fig7a", "--output", str(out),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "error in fig14: " in done.stderr
+        assert "Traceback" not in done.stderr
+        assert json.loads((out / "index.json").read_text()) == {
+            "fig7a": "Noise vs. stimulus frequency (unsync)"
+        }
+        fig7a = json.loads((out / "fig7a.json").read_text())["data"]
+        assert fig7a["dropped_points"] > 0
+        manifest = json.loads((out / "campaign-manifest.json").read_text())
+        statuses = {
+            point: entry["status"]
+            for point, entry in manifest["points"].items()
+        }
+        assert statuses == {"fig14": "failed", "fig7a": "complete"}

@@ -9,14 +9,15 @@ from repro.analysis.sensitivity import (
     sweep_misalignment,
     sweep_stimulus_frequency,
 )
+from repro.engine import SimulationSession
 from repro.errors import ExperimentError
 from repro.machine.runner import RunOptions
 from repro.machine.tod import TOD_STEP
 
 
 @pytest.fixture(scope="module")
-def options():
-    return RunOptions(segments=2, base_samples=1024)
+def session(chip):
+    return SimulationSession(chip, RunOptions(segments=2, base_samples=1024))
 
 
 class TestFrequencyGrid:
@@ -32,56 +33,55 @@ class TestFrequencyGrid:
 
 
 class TestFrequencySweep:
-    def test_points_and_resonance(self, generator, chip, options):
+    def test_points_and_resonance(self, generator, chip, session):
         freqs = [3e5, 2.6e6, 2e7]
         points = sweep_stimulus_frequency(
-            generator, chip, freqs, synchronize=True, options=options
-        )
+            generator, chip, freqs, synchronize=True
+        ).run(session)
         assert [p.freq_hz for p in points] == freqs
         by_freq = {p.freq_hz: p.max_p2p for p in points}
         assert by_freq[2.6e6] >= by_freq[3e5]
         assert by_freq[2.6e6] >= by_freq[2e7]
 
-    def test_sync_uplift(self, generator, chip, options):
+    def test_sync_uplift(self, generator, chip, session):
         freqs = [2.6e6]
         synced = sweep_stimulus_frequency(
-            generator, chip, freqs, synchronize=True, options=options
-        )[0]
+            generator, chip, freqs, synchronize=True
+        ).run(session)[0]
         unsynced = sweep_stimulus_frequency(
-            generator, chip, freqs, synchronize=False, options=options
-        )[0]
+            generator, chip, freqs, synchronize=False
+        ).run(session)[0]
         assert synced.max_p2p > unsynced.max_p2p
 
 
 class TestMisalignmentSweep:
-    def test_monotone_reduction(self, generator, chip, options):
+    def test_monotone_reduction(self, generator, chip, session):
         results = sweep_misalignment(
             generator, chip, [0.0, TOD_STEP, 5 * TOD_STEP],
-            options=options, assignments_sample=2,
-        )
+            assignments_sample=2,
+        ).run(session)
         aligned = max(results[0.0])
         one_step = max(results[TOD_STEP])
         spread = max(results[5 * TOD_STEP])
         assert one_step <= aligned
         assert spread <= aligned
 
-    def test_per_core_vectors(self, generator, chip, options):
+    def test_per_core_vectors(self, generator, chip, session):
         results = sweep_misalignment(
-            generator, chip, [0.0], options=options, assignments_sample=1
-        )
+            generator, chip, [0.0], assignments_sample=1
+        ).run(session)
         assert len(results[0.0]) == 6
 
 
 class TestDeltaISweep:
     @pytest.fixture(scope="class")
-    def points(self, generator, chip):
+    def points(self, generator, chip, session):
         return sweep_delta_i_mappings(
             generator, chip,
-            options=RunOptions(segments=2, base_samples=1024),
             placements_per_distribution=1,
             workload_filter=lambda dist: dist in
             [(0, 0), (1, 0), (3, 0), (6, 0), (0, 6), (2, 2)],
-        )
+        ).run(session)
 
     def test_filtered_distributions(self, points):
         assert {p.distribution for p in points} == {

@@ -10,8 +10,8 @@ from repro.control.loop import ClosedLoopRun
 from repro.control.study import (
     CONTROL_RUN_TAG,
     attack_surface,
+    control_baseline,
     gain_sweep,
-    plan_control_experiment,
 )
 from repro.engine import SimulationSession
 from repro.engine.cache import ResultCache
@@ -24,7 +24,7 @@ def baseline(chip, loop_mapping, loop_options):
     session = SimulationSession(
         chip, loop_options, cache=ResultCache(cache_dir=None)
     )
-    return session.run(loop_mapping, run_tag=CONTROL_RUN_TAG)
+    return control_baseline(loop_mapping).run(session)
 
 
 @pytest.fixture(scope="module")
@@ -121,9 +121,9 @@ class TestAttackSurface:
             assert depth == min(c["depth_steps"] for c in hits)
 
 
-def test_plan_control_experiment_declares_one_tagged_run(
+def test_control_baseline_declares_one_tagged_run(
     chip, loop_mapping, loop_options
 ):
-    plan = plan_control_experiment(chip, loop_mapping, loop_options)
+    plan = control_baseline(loop_mapping).plan(chip, loop_options)
     assert len(plan.runs) == 1
     assert plan.runs[0].tag == CONTROL_RUN_TAG

@@ -57,11 +57,12 @@ class TestContexts:
 
     def test_delta_i_points_cached(self):
         ctx = quick_context()
-        first = ctx.delta_i_points()
+        first = ctx.delta_i_sweep().run(ctx.session)
         executed = ctx.session.telemetry.counter("engine.runs_executed")
         # The dataset is rebuilt, but every run replays from the engine
         # cache — even from a *fresh* context over the same platform.
-        second = quick_context().delta_i_points()
+        fresh = quick_context()
+        second = fresh.delta_i_sweep().run(fresh.session)
         assert ctx.session.telemetry.counter("engine.runs_executed") == executed
         assert len(first) > 20  # all distributions, sampled placements
         assert [p.p2p_by_core for p in first] == [p.p2p_by_core for p in second]

@@ -14,7 +14,8 @@ from repro import (
     idle_program,
     reference_chip,
 )
-from repro.measure.vmin import run_vmin_experiment
+from repro.engine import SimulationSession
+from repro.measure.vmin import vmin_experiment
 
 
 @pytest.fixture(scope="module")
@@ -74,16 +75,15 @@ class TestParameterHierarchy:
         assert sync_off_resonance > unsync_at_resonance
 
     def test_event_count_is_secondary(self, chip, generator, options):
-        one = run_vmin_experiment(
+        session = SimulationSession(chip, options)
+        one = vmin_experiment(
             chip,
             [generator.max_didt(freq_hz=2.6e6, synchronize=True, n_events=1).current_program()] * 6,
-            options=options,
-        )
-        thousand = run_vmin_experiment(
+        ).run(session)
+        thousand = vmin_experiment(
             chip,
             [generator.max_didt(freq_hz=2.6e6, synchronize=True, n_events=1000).current_program()] * 6,
-            options=options,
-        )
+        ).run(session)
         assert abs(one.margin_frac - thousand.margin_frac) <= 0.02
 
     def test_delta_i_is_primary(self, runner, generator, options):

@@ -61,10 +61,10 @@ def traced_fig11a_sweep(generator, chip, executor, log_path):
         )
         with telemetry.span("campaign"):
             points = sweep_delta_i_mappings(
-                generator, chip, session=session,
+                generator, chip,
                 placements_per_distribution=1,
                 workload_filter=lambda dist: dist[1] == 0,
-            )
+            ).run(session)
         telemetry.emit("campaign.completed", snapshot=telemetry.snapshot())
     return points, telemetry
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.engine import SimulationSession
 from repro.errors import ConfigError, MeasurementError
 from repro.machine.runner import RunOptions
 from repro.machine.workload import CurrentProgram, SyncSpec
 from repro.measure.oscilloscope import TraceCapture, capture_trace
 from repro.measure.runit import RUnit, RUnitConfig
-from repro.measure.vmin import run_vmin_experiment
+from repro.measure.vmin import vmin_experiment
 
 
 def didt(sync=True, i_high=32.0):
@@ -23,8 +24,8 @@ def didt(sync=True, i_high=32.0):
 
 
 @pytest.fixture(scope="module")
-def options():
-    return RunOptions(segments=2, base_samples=1024)
+def session(chip):
+    return SimulationSession(chip, RunOptions(segments=2, base_samples=1024))
 
 
 class TestRUnit:
@@ -45,51 +46,49 @@ class TestRUnit:
 
 
 class TestVminExperiment:
-    def test_protocol_finds_margin(self, chip, options):
-        result = run_vmin_experiment(chip, [didt()] * 6, options=options)
+    def test_protocol_finds_margin(self, chip, session):
+        result = vmin_experiment(chip, [didt()] * 6).run(session)
         assert 0.0 <= result.margin_frac < 0.2
         assert result.fail_bias < 1.0
         # Margin is a whole number of 0.5 % steps.
         steps = result.margin_frac / 0.005
         assert steps == pytest.approx(round(steps))
 
-    def test_sync_margin_below_unsync(self, chip, options):
-        synced = run_vmin_experiment(chip, [didt(sync=True)] * 6, options=options)
-        unsynced = run_vmin_experiment(chip, [didt(sync=False)] * 6, options=options)
+    def test_sync_margin_below_unsync(self, chip, session):
+        synced = vmin_experiment(chip, [didt(sync=True)] * 6).run(session)
+        unsynced = vmin_experiment(chip, [didt(sync=False)] * 6).run(session)
         assert synced.margin_frac < unsynced.margin_frac
 
-    def test_dwell_time_tracked(self, chip, options):
-        result = run_vmin_experiment(chip, [didt()] * 6, options=options)
+    def test_dwell_time_tracked(self, chip, session):
+        result = vmin_experiment(chip, [didt()] * 6).run(session)
         assert result.simulated_minutes == pytest.approx(
             2.0 * (result.steps_survived + 1)
         )
 
-    def test_unreachable_threshold_raises(self, chip, options):
+    def test_unreachable_threshold_raises(self, chip, session):
         quiet = CurrentProgram("q", i_low=1.0, i_high=1.0)
         with pytest.raises(MeasurementError, match="no failure"):
-            run_vmin_experiment(
+            vmin_experiment(
                 chip,
                 [quiet] * 6,
                 runit_config=RUnitConfig(v_fail_frac=0.51),
-                options=options,
                 max_steps=5,
-            )
+            ).run(session)
 
     def test_unreachable_threshold_error_names_the_experiment(
-        self, chip, options
+        self, chip, session
     ):
         # Near-margin debugging of a multi-chip, multi-workload
         # campaign: the error alone must identify which experiment
         # never failed and where the search ended up.
         quiet = CurrentProgram("q", i_low=1.0, i_high=1.0)
         with pytest.raises(MeasurementError) as excinfo:
-            run_vmin_experiment(
+            vmin_experiment(
                 chip,
                 [quiet] * 3 + [None] * 3,
                 runit_config=RUnitConfig(v_fail_frac=0.51),
-                options=options,
                 max_steps=5,
-            )
+            ).run(session)
         message = str(excinfo.value)
         assert f"chip {chip.chip_id}" in message
         assert "'q'" in message  # the workload tag
@@ -97,28 +96,28 @@ class TestVminExperiment:
         assert "final bias" in message
         assert "R-Unit threshold" in message
 
-    def test_idle_mapping_is_named_in_the_error(self, chip, options):
+    def test_idle_mapping_is_named_in_the_error(self, chip, session):
         idle = CurrentProgram("i", i_low=5.0, i_high=5.0)
         with pytest.raises(MeasurementError) as excinfo:
-            run_vmin_experiment(
+            vmin_experiment(
                 chip,
                 [idle, None, None, None, None, None],
                 runit_config=RUnitConfig(v_fail_frac=0.51),
-                options=options,
                 max_steps=3,
-            )
+            ).run(session)
         assert "'i'" in str(excinfo.value)
 
 
 class TestOscilloscope:
     @pytest.fixture(scope="class")
-    def trace(self, chip):
-        return capture_trace(
-            chip,
-            [didt()] * 6,
-            node="core0",
-            options=RunOptions(segments=1, base_samples=1024),
+    def scope_session(self, chip):
+        return SimulationSession(
+            chip, RunOptions(segments=1, base_samples=1024)
         )
+
+    @pytest.fixture(scope="class")
+    def trace(self, scope_session):
+        return capture_trace([didt()] * 6, node="core0").run(scope_session)
 
     def test_uniform_resampling(self, trace):
         dt = np.diff(trace.times)
@@ -140,9 +139,6 @@ class TestOscilloscope:
         with pytest.raises(MeasurementError):
             trace.crop(5.0, 6.0)  # beyond the capture
 
-    def test_unknown_node_rejected(self, chip):
+    def test_unknown_node_rejected(self, scope_session):
         with pytest.raises(MeasurementError):
-            capture_trace(
-                chip, [didt()] * 6, node="not-a-node",
-                options=RunOptions(segments=1, base_samples=1024),
-            )
+            capture_trace([didt()] * 6, node="not-a-node").run(scope_session)
