@@ -16,7 +16,10 @@ worked: runs that exhausted their retry budget are dropped from the
 returned dataset instead of aborting the sweep, each drop is counted
 (``engine.points_dropped``) and written to the event log
 (``point.dropped``), and the experiment layer marks the dropped count
-in the exported results.
+in the exported results.  A sweep left with nothing to report (no
+frequency or mapping solved, a misalignment level without a solved
+assignment) raises :class:`~repro.errors.ExecutionError` naming
+itself and its failed runs.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from ..core.generator import StressmarkGenerator
 from ..core.sync import offset_assignments, spread_offsets
-from ..errors import ExperimentError
+from ..errors import ExecutionError, ExperimentError
 from ..machine.chip import Chip
 from ..machine.workload import idle_program
 from ..plan.spec import Sweep
@@ -91,7 +94,7 @@ def sweep_stimulus_frequency(
     ]
 
     def finish(results: list) -> list[FrequencySweepPoint]:
-        return [
+        points = [
             FrequencySweepPoint(
                 freq_hz=freq,
                 achieved_freq_hz=mark.achieved_freq_hz,
@@ -100,6 +103,9 @@ def sweep_stimulus_frequency(
             for freq, mark, result in zip(frequencies, marks, results)
             if result is not None
         ]
+        if not points:
+            raise ExecutionError("no frequency solved")
+        return points
 
     return Sweep(
         mappings=tuple(
@@ -126,8 +132,9 @@ def sweep_misalignment(
     is executed; the value maps each misalignment to the per-core noise
     averaged over its assignments.  The assignments of every
     misalignment level form one batch.  Under collect mode a level
-    averages over the assignments that solved (a level whose every
-    assignment failed is dropped entirely).
+    averages over the assignments that solved; a level whose every
+    assignment failed leaves the study without that level, which
+    raises.
     """
     n_cores = chip.n_cores
     mappings: list[tuple] = []
@@ -161,11 +168,15 @@ def sweep_misalignment(
             batch = results[cursor:cursor + count]
             solved = [result for result in batch if result is not None]
             cursor += count
-            if solved:
-                accumulator = np.zeros(n_cores)
-                for result in solved:
-                    accumulator += np.array(result.p2p_by_core)
-                averaged[max_mis] = list(accumulator / len(solved))
+            if not solved:
+                raise ExecutionError(
+                    f"misalignment {max_mis * 1e9:.1f} ns lost every "
+                    "assignment"
+                )
+            accumulator = np.zeros(n_cores)
+            for result in solved:
+                accumulator += np.array(result.p2p_by_core)
+            averaged[max_mis] = list(accumulator / len(solved))
         return averaged
 
     return Sweep(tuple(mappings), tuple(tags), finish, name="missweep")
@@ -264,6 +275,8 @@ def sweep_delta_i_mappings(
             for entry, result in zip(planned, results)
             if result is not None
         ]
+        if not solved:
+            raise ExecutionError("no mapping solved")
         return [
             DeltaIMappingPoint(
                 mapping_id=mapping_id,

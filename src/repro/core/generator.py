@@ -4,16 +4,27 @@ Wraps the full methodology (EPI profile → max/min/medium power
 sequences → stressmark builder) behind one object with caching, so
 experiments can ask for "the maximum dI/dt stressmark at 2 MHz,
 synchronized, misaligned by 125 ns" in one call.
+
+The three expensive outputs — the EPI profile, the max-power search
+and the medium dilution — are content-addressed in the process-wide
+engine :class:`~repro.engine.cache.ResultCache`, so a process whose
+cache directory already holds them (``--cache-dir``) profiles and
+searches nothing.  Each record is plain data (mnemonics, powers,
+counts) that a hit rebuilds against ``target.isa``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Callable
 
+from ..engine.cache import global_cache
+from ..engine.fingerprint import content_key
 from ..errors import GenerationError
 from ..mbench.target import Target, default_target
 from ..measure.powermeter import PowerMeter
-from .epi import EpiProfile, generate_epi_profile
+from .epi import EpiEntry, EpiProfile, generate_epi_profile
+from .filters import FilterStats
 from .mediumpower import DilutedSequence, medium_power_sequence
 from .minpower import min_power_sequence
 from .search import MaxPowerSearchResult, search_max_power_sequence
@@ -26,7 +37,9 @@ class StressmarkGenerator:
     """One-stop generator for the reference target.
 
     All expensive artifacts (EPI profile, search result, builders) are
-    computed once and cached on the instance.
+    computed once and cached on the instance; the EPI profile, the
+    search result and the medium dilution are also read through the
+    engine result cache (see :meth:`_record_key`).
 
     Parameters
     ----------
@@ -55,18 +68,108 @@ class StressmarkGenerator:
     def meter(self) -> PowerMeter:
         return PowerMeter(self.target, seed=self.seed)
 
+    def _record_key(self, output: str) -> str:
+        """Content address of one cached output: the target's digest
+        (every instruction definition and the core configuration), the
+        meter's seed, noise and drift, the EPI repetition count and,
+        for the outputs downstream of the search, ``ipc_keep``."""
+        meter = self.meter
+        parts: list[object] = [
+            f"generator.{output}",
+            self.target.digest,
+            meter.seed,
+            meter.noise_sigma,
+            meter.temperature_drift,
+            self.epi_repetitions,
+        ]
+        if output != "epi":
+            parts.append(self.ipc_keep)
+        return content_key(*parts)
+
+    def _through_cache(
+        self,
+        output: str,
+        compute: Callable[[], object],
+        to_record: Callable[[object], object],
+        from_record: Callable[[object], object],
+    ):
+        """*output* rebuilt from its cached record, or computed and its
+        record published.  A torn record is quarantined by the cache
+        and reads as a miss."""
+        cache = global_cache()
+        key = self._record_key(output)
+        record = cache.get(key)
+        if record is not None:
+            return from_record(record)
+        value = compute()
+        cache.put(key, to_record(value))
+        return value
+
     @cached_property
     def epi_profile(self) -> EpiProfile:
-        """The full-ISA EPI profile (Table I source)."""
-        return generate_epi_profile(
-            self.target, meter=self.meter, repetitions=self.epi_repetitions
+        """The full-ISA EPI profile (Table I source).  Its record is
+        the rows ``(mnemonic, power_w, normalized_power, ipc)`` in rank
+        order."""
+        isa = self.target.isa
+        return self._through_cache(
+            "epi",
+            lambda: generate_epi_profile(
+                self.target, meter=self.meter, repetitions=self.epi_repetitions
+            ),
+            lambda profile: [
+                (e.mnemonic, e.power_w, e.normalized_power, e.ipc)
+                for e in profile.entries
+            ],
+            lambda rows: EpiProfile(
+                [
+                    EpiEntry(0, isa[mnemonic], power, normalized, ipc)
+                    for mnemonic, power, normalized, ipc in rows
+                ]
+            ),
         )
 
     @cached_property
     def max_power_result(self) -> MaxPowerSearchResult:
-        """The Figure 5 search outcome."""
-        return search_max_power_sequence(
-            self.target, self.epi_profile, meter=self.meter, ipc_keep=self.ipc_keep
+        """The Figure 5 search outcome.  Its record holds the winner's
+        and the candidates' mnemonics, the measured powers and the
+        funnel counts."""
+        isa = self.target.isa
+
+        def to_record(result: MaxPowerSearchResult) -> dict:
+            return {
+                "sequence": result.mnemonics,
+                "power_w": result.power_w,
+                "candidates": [inst.mnemonic for inst in result.candidates],
+                "enumerated": result.enumerated,
+                "microarch": (
+                    result.microarch_stats.examined,
+                    result.microarch_stats.accepted,
+                ),
+                "ipc": (result.ipc_stats.examined, result.ipc_stats.accepted),
+                "evaluated": result.evaluated,
+                "validation_powers": list(result.validation_powers),
+            }
+
+        def from_record(record: dict) -> MaxPowerSearchResult:
+            return MaxPowerSearchResult(
+                sequence=tuple(isa[m] for m in record["sequence"]),
+                power_w=record["power_w"],
+                candidates=[isa[m] for m in record["candidates"]],
+                enumerated=record["enumerated"],
+                microarch_stats=FilterStats(*record["microarch"]),
+                ipc_stats=FilterStats(*record["ipc"]),
+                evaluated=record["evaluated"],
+                validation_powers=list(record["validation_powers"]),
+            )
+
+        return self._through_cache(
+            "search",
+            lambda: search_max_power_sequence(
+                self.target, self.epi_profile, meter=self.meter,
+                ipc_keep=self.ipc_keep,
+            ),
+            to_record,
+            from_record,
         )
 
     @property
@@ -85,14 +188,36 @@ class StressmarkGenerator:
 
     @cached_property
     def medium_dilution(self) -> DilutedSequence:
-        """High phase of the medium dI/dt stressmark."""
-        builder = self.max_builder
-        return medium_power_sequence(
-            self.target,
-            self.max_sequence,
-            self.min_sequence,
-            max_power_w=builder._high_estimate.watts,
-            min_power_w=builder._low_estimate.watts,
+        """High phase of the medium dI/dt stressmark.  Its record is
+        the copy counts and powers; the body is rebuilt from the max
+        and min sequences."""
+
+        def compute() -> DilutedSequence:
+            builder = self.max_builder
+            return medium_power_sequence(
+                self.target,
+                self.max_sequence,
+                self.min_sequence,
+                max_power_w=builder._high_estimate.watts,
+                min_power_w=builder._low_estimate.watts,
+            )
+
+        def from_record(record: tuple) -> DilutedSequence:
+            high, low, power_w, target_w = record
+            return DilutedSequence(
+                body=tuple(self.max_sequence) * high
+                + tuple(self.min_sequence) * low,
+                high_copies=high,
+                low_copies=low,
+                power_w=power_w,
+                target_w=target_w,
+            )
+
+        return self._through_cache(
+            "medium",
+            compute,
+            lambda d: (d.high_copies, d.low_copies, d.power_w, d.target_w),
+            from_record,
         )
 
     @cached_property

@@ -95,11 +95,12 @@ def genetic_max_power_search(
     power-meter measurements (with their noise), and each one costs the
     meter's dwell time — which is the budget the comparison bench
     reports.  Readings are memoized in the engine's content-addressed
-    cache (keyed by meter identity, target and sequence), and each
-    generation's unevaluated individuals are measured as one batch
-    through the engine executor under *retry* (env default) — a flaky
-    evaluation is retried, a permanently failing individual aborts the
-    search rather than breeding on fabricated fitness.
+    cache (keyed by meter identity, the target's content digest and
+    sequence), and each generation's unevaluated individuals are
+    measured as one batch through the engine executor under *retry*
+    (env default) — a flaky evaluation is retried, a permanently
+    failing individual aborts the search rather than breeding on
+    fabricated fitness.
     """
     if not candidates:
         raise GenerationError("empty candidate pool")
@@ -117,8 +118,7 @@ def genetic_max_power_search(
     evaluate = _FitnessTask(target, meter)
     meter_identity = (
         "ga-fitness",
-        target.isa.name,
-        target.core,
+        target.digest,
         meter.seed,
         meter.noise_sigma,
         meter.temperature_drift,

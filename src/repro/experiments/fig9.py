@@ -13,6 +13,7 @@ from ..analysis.sensitivity import (
     default_frequency_grid,
     sweep_stimulus_frequency,
 )
+from ..errors import ExecutionError
 from ..units import format_freq
 from .common import ExperimentContext
 from .registry import ExperimentResult, register
@@ -50,9 +51,18 @@ def run(context: ExperimentContext):
         p for p in synced if 1e5 <= p.freq_hz <= 1e6
     ]
     mid_band_max = max((p.max_p2p for p in mid_band), default=0.0)
+    # Under collect mode the two sweeps can drop different points:
+    # the uplift pairs readings by frequency, never by position.
+    unsynced_at = {p.freq_hz: p for p in unsynced}
     uplift = [
-        s.max_p2p - u.max_p2p for s, u in zip(synced, unsynced)
+        s.max_p2p - unsynced_at[s.freq_hz].max_p2p
+        for s in synced
+        if s.freq_hz in unsynced_at
     ]
+    if not uplift:
+        raise ExecutionError(
+            "no frequency solved both synchronized and unsynchronized"
+        )
     data = {
         "peak_sync_p2p": peak_sync.max_p2p,
         "peak_sync_freq": peak_sync.freq_hz,

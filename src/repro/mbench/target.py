@@ -10,6 +10,7 @@ answers "what instructions exist", "how fast does this loop run" and
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +37,20 @@ class Target:
         """Per-µop energy model (built lazily; it profiles every
         instruction once)."""
         return EnergyModel(self.isa, self.core)
+
+    @cached_property
+    def digest(self) -> str:
+        """Content digest of the target: every field of every
+        instruction definition plus the core configuration, read
+        through their dataclass ``repr`` (stable across processes).
+        The ISA's name is not part of it; two ISAs with the same
+        definitions are the same target.
+
+        It never pickles the ISA: pickling materializes each
+        definition's ``__dict__``, which slows every later attribute
+        read of the profiling loops."""
+        text = repr((self.core, tuple(self.isa)))
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def profile(self, program: Program) -> LoopProfile:
         """Steady-state throughput profile of *program*'s loop.

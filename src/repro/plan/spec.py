@@ -174,8 +174,12 @@ class Sweep:
         Names a sweep that can lose points.  Under
         ``on_failure="collect"`` its failed runs reach *finish* as
         ``None``, each counted (``engine.points_dropped``) and traced
-        (``point.dropped``).  An unnamed sweep needs every run, so a
-        failed run raises :class:`~repro.errors.ExecutionError`.
+        (``point.dropped``).  A *finish* that cannot make the study's
+        value from what solved raises
+        :class:`~repro.errors.ExecutionError` with the reason, and the
+        sweep re-raises it with its name and its failed runs.  An
+        unnamed sweep needs every run, so a failed run raises
+        :class:`~repro.errors.ExecutionError`.
     """
 
     mappings: tuple
@@ -200,24 +204,33 @@ class Sweep:
         if self.overrides:
             session = session.derive(**self.overrides)
         results = session.run_many(self.mappings, self.tags)
-        failed = [
-            i for i, result in enumerate(results)
-            if isinstance(result, RunFailure)
+        failures = [
+            result for result in results if isinstance(result, RunFailure)
         ]
-        if failed and self.name is None:
-            raise ExecutionError(
-                f"{len(failed)} of {len(results)} run(s) failed and this "
-                "study cannot drop points: "
-                + "; ".join(results[i].describe() for i in failed),
-                [results[i] for i in failed],
+
+        def failed(reason: str) -> ExecutionError:
+            return ExecutionError(
+                f"{len(failures)} of {len(results)} run(s) failed and "
+                f"{reason}: "
+                + "; ".join(failure.describe() for failure in failures),
+                failures,
             )
-        for i in failed:
-            session.telemetry.increment("engine.points_dropped")
-            session.telemetry.emit(
-                "point.dropped",
-                sweep=self.name,
-                run=self.tags[i],
-                error=f"{results[i].error_type}: {results[i].message}",
-            )
-            results[i] = None
-        return self.finish(results)
+
+        if failures and self.name is None:
+            raise failed("this study cannot drop points")
+        for i, result in enumerate(results):
+            if isinstance(result, RunFailure):
+                session.telemetry.increment("engine.points_dropped")
+                session.telemetry.emit(
+                    "point.dropped",
+                    sweep=self.name,
+                    run=self.tags[i],
+                    error=f"{result.error_type}: {result.message}",
+                )
+                results[i] = None
+        try:
+            return self.finish(results)
+        except ExecutionError as error:
+            raise failed(
+                f"sweep {self.name!r} cannot yield its value ({error})"
+            ) from None

@@ -14,15 +14,19 @@ import pytest
 
 from repro.analysis.sensitivity import (
     sweep_delta_i_mappings,
+    sweep_misalignment,
     sweep_stimulus_frequency,
 )
+from repro.cli import main
 from repro.engine import ResultCache, SimulationSession
+from repro.engine import cache as cache_module
 from repro.engine.resilience import RetryPolicy
 from repro.errors import ExecutionError
 from repro.experiments import ExperimentContext, get_experiment
 from repro.faults import FaultPlan
 from repro.faults.harness import reset_fault_memo
 from repro.machine.runner import RunOptions
+from repro.machine.tod import TOD_STEP
 from repro.obs import EventLog, Telemetry, read_events
 
 #: Permanent failures (transient=False): retry cannot absorb them, so
@@ -108,6 +112,28 @@ class TestCollectModeDeltaISweep:
         assert [p.mapping_id for p in points] == list(range(len(points)))
 
 
+class TestCollectModeMisalignmentSweep:
+    def test_a_level_without_a_solved_assignment_fails_by_name(
+        self, generator, chip
+    ):
+        telemetry = Telemetry()
+        session = collect_session(
+            chip,
+            telemetry,
+            faults=FaultPlan(seed=11, exception_rate=0.5, transient=False),
+        )
+        with pytest.raises(ExecutionError) as excinfo:
+            sweep_misalignment(
+                generator, chip, [0.0, TOD_STEP, 2 * TOD_STEP],
+                assignments_sample=2,
+            ).run(session)
+        assert (
+            "1 of 5 run(s) failed and sweep 'missweep' cannot yield its "
+            "value (misalignment 0.0 ns lost every assignment)"
+        ) in str(excinfo.value)
+        assert len(excinfo.value.failures) == 1
+
+
 class TestCollectModeWholeStudies:
     """Only the named sweeps can drop points.  Under collect mode a
     study that needs every run raises an ExecutionError naming the
@@ -173,3 +199,81 @@ class TestCollectModeWholeStudies:
             for point, entry in manifest["points"].items()
         }
         assert statuses == {"fig14": "failed", "fig7a": "complete"}
+
+
+@pytest.fixture()
+def run_collect(monkeypatch, tmp_path, capsys):
+    """``main()`` for a quick collect-mode campaign under a permanent
+    fault plan, in this process, on a fresh process-wide result cache
+    (so every run executes); returns ``(status, stderr, output dir)``.
+    The environment the CLI exports is restored afterwards."""
+
+    def run(faults: str, *experiments: str):
+        reset_fault_memo()
+        monkeypatch.setattr(cache_module, "_GLOBAL", ResultCache())
+        for name, value in {
+            "REPRO_FAULTS": faults,
+            "REPRO_JOBS": "1",
+            "REPRO_MAX_RETRIES": "0",
+            "REPRO_ON_FAILURE": "collect",
+        }.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "out"
+        status = main(
+            ["--quick", "--on-failure", "collect", "run", *experiments,
+             "--output", str(out)]
+        )
+        return status, capsys.readouterr().err, out
+
+    return run
+
+
+class TestSweepsThatCannotYield:
+    """A named sweep left without what its figure needs fails by name;
+    the campaign records it and runs the rest."""
+
+    def test_each_fails_by_name_and_the_campaign_goes_on(self, run_collect):
+        status, err, out = run_collect(
+            "exception=1.0,seed=4,permanent", "fig7a", "fig9", "fig10",
+            "fig7b",
+        )
+        assert status == 1
+        errors = {
+            line.split(":", 1)[0]: line
+            for line in err.splitlines()
+            if line.startswith("error in ")
+        }
+        for experiment_id, sweep, reason in [
+            ("fig7a", "fsweep", "no frequency solved"),
+            ("fig9", "fsweep", "no frequency solved"),
+            ("fig10", "missweep", "misalignment 0.0 ns lost every assignment"),
+        ]:
+            line = errors[f"error in {experiment_id}"]
+            assert f"sweep {sweep!r} cannot yield its value ({reason})" in line
+            assert "InjectedFault" in line
+        assert json.loads((out / "index.json").read_text()) == {
+            "fig7b": "Impedance profile Z(f)"
+        }
+        manifest = json.loads((out / "campaign-manifest.json").read_text())
+        assert {
+            point: entry["status"]
+            for point, entry in manifest["points"].items()
+        } == {
+            "fig7a": "failed",
+            "fig9": "failed",
+            "fig10": "failed",
+            "fig7b": "complete",
+        }
+
+    def test_fig9_pairs_its_uplift_by_frequency(self, run_collect):
+        status, _, out = run_collect("exception=0.3,seed=4,permanent", "fig9")
+        assert status == 0
+        data = json.loads((out / "fig9.json").read_text())["data"]
+        synced = [(f, max(p2p)) for f, p2p in data["points_sync"]]
+        unsynced = dict((f, max(p2p)) for f, p2p in data["points_unsync"])
+        # The plan drops different points from the two sweeps, so a
+        # positional pairing would mix frequencies.
+        assert [f for f, _ in synced] != list(unsynced)
+        terms = [s - unsynced[f] for f, s in synced if f in unsynced]
+        assert terms
+        assert data["mean_uplift"] == sum(terms) / len(terms)

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core.genetic import genetic_max_power_search
+from repro.engine.cache import ResultCache
 from repro.errors import GenerationError
+from repro.isa.zmainframe import DEFAULT_ISA_SEED, build_zmainframe_isa
+from repro.mbench.target import Target
 from repro.measure.powermeter import PowerMeter
 
 
@@ -64,3 +67,30 @@ class TestGeneticSearch:
             genetic_max_power_search(target, candidates, population=2)
         with pytest.raises(GenerationError):
             genetic_max_power_search(target, candidates, population=8, elite=8)
+
+    def test_readings_are_keyed_by_target_content(self, generator, target):
+        """Another seed's ISA has the same name and mnemonics but other
+        definitions: it must measure, not replay the first ISA's
+        readings.  A target with the same definitions replays them."""
+        mnemonics = [i.mnemonic for i in generator.max_power_result.candidates]
+        cache = ResultCache()
+
+        def search(bound: Target):
+            return genetic_max_power_search(
+                bound,
+                [bound.isa[m] for m in mnemonics],
+                meter=PowerMeter(bound, seed=5),
+                population=8,
+                generations=2,
+                seed=3,
+                cache=cache,
+            )
+
+        other = Target(
+            isa=build_zmainframe_isa(DEFAULT_ISA_SEED + 1), core=target.core
+        )
+        assert other.isa.name == target.isa.name
+        assert search(target).evaluations > 0
+        assert search(other).evaluations > 0
+        same = Target(isa=build_zmainframe_isa(), core=target.core)
+        assert search(same).evaluations == 0
