@@ -17,6 +17,13 @@ Each study also re-derives the monolithic result from the stepping
 state (:meth:`SteppingSession.result`) and compares it to the engine
 baseline *exactly* — the stepping ≡ monolithic acceptance check rides
 along with every sweep.
+
+The studies themselves cache nothing: every call builds a stepping
+session and recomputes the verdict (the ``repro-noise control`` verb
+relies on that).  The registered ``ctrl-gain``/``ctrl-attack`` drivers
+(:mod:`repro.experiments.ctrl`) keep each returned dict as a result-cache
+record keyed by the baseline run's fingerprint and the study's
+parameters, so a replayed campaign steps nothing.
 """
 
 from __future__ import annotations

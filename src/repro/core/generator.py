@@ -16,7 +16,6 @@ counts) that a hit rebuilds against ``target.isa``.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable
 
 from ..engine.cache import global_cache
 from ..engine.fingerprint import content_key
@@ -86,33 +85,14 @@ class StressmarkGenerator:
             parts.append(self.ipc_keep)
         return content_key(*parts)
 
-    def _through_cache(
-        self,
-        output: str,
-        compute: Callable[[], object],
-        to_record: Callable[[object], object],
-        from_record: Callable[[object], object],
-    ):
-        """*output* rebuilt from its cached record, or computed and its
-        record published.  A torn record is quarantined by the cache
-        and reads as a miss."""
-        cache = global_cache()
-        key = self._record_key(output)
-        record = cache.get(key)
-        if record is not None:
-            return from_record(record)
-        value = compute()
-        cache.put(key, to_record(value))
-        return value
-
     @cached_property
     def epi_profile(self) -> EpiProfile:
         """The full-ISA EPI profile (Table I source).  Its record is
         the rows ``(mnemonic, power_w, normalized_power, ipc)`` in rank
         order."""
         isa = self.target.isa
-        return self._through_cache(
-            "epi",
+        return global_cache().get_or_compute(
+            self._record_key("epi"),
             lambda: generate_epi_profile(
                 self.target, meter=self.meter, repetitions=self.epi_repetitions
             ),
@@ -162,8 +142,8 @@ class StressmarkGenerator:
                 validation_powers=list(record["validation_powers"]),
             )
 
-        return self._through_cache(
-            "search",
+        return global_cache().get_or_compute(
+            self._record_key("search"),
             lambda: search_max_power_sequence(
                 self.target, self.epi_profile, meter=self.meter,
                 ipc_keep=self.ipc_keep,
@@ -213,8 +193,8 @@ class StressmarkGenerator:
                 target_w=target_w,
             )
 
-        return self._through_cache(
-            "medium",
+        return global_cache().get_or_compute(
+            self._record_key("medium"),
             compute,
             lambda d: (d.high_copies, d.low_copies, d.power_w, d.target_w),
             from_record,

@@ -2,8 +2,10 @@
 
 Keys are content fingerprints (:mod:`repro.engine.fingerprint`), values
 are arbitrary picklable results (:class:`RunResult`s, GA fitness
-readings).  The in-memory tier is a bounded LRU shared process-wide by
-default, so every consumer layer — experiment drivers, sweep functions,
+readings, and the plain-data records of the stressmark generator and
+the control studies, read through :meth:`ResultCache.get_or_compute`).
+The in-memory tier is a bounded LRU shared process-wide by default, so
+every consumer layer — experiment drivers, sweep functions,
 the scheduler, the GA — transparently reuses each other's runs.  The
 optional disk tier (``--cache-dir`` / ``$REPRO_CACHE_DIR``, defaulting
 to ``~/.cache/repro-noise`` when enabled without a path) persists
@@ -23,6 +25,7 @@ import pickle
 import time
 from collections import OrderedDict
 from pathlib import Path
+from typing import Callable
 
 from ..ioutil import atomic_write_bytes
 from ..obs import Telemetry, get_telemetry
@@ -119,6 +122,28 @@ class ResultCache:
             self.telemetry.observe(
                 "engine.cache.lookup_seconds", time.perf_counter() - start
             )
+
+    def get_or_compute(
+        self,
+        key: str,
+        compute: Callable[[], object],
+        to_record: Callable[[object], object] = lambda value: value,
+        from_record: Callable[[object], object] = lambda record: record,
+    ) -> object:
+        """The value rebuilt from the record cached under *key*, or
+        *compute*'s value with its record published under *key*.
+
+        A record is what the cache stores of a value: the value itself
+        by default, or the plain data *to_record* extracts and
+        *from_record* rebuilds from.  A torn disk record is quarantined
+        by :meth:`get` and reads as a miss, so it is recomputed.
+        """
+        record = self.get(key)
+        if record is not None:
+            return from_record(record)
+        value = compute()
+        self.put(key, to_record(value))
+        return value
 
     def __contains__(self, key: str) -> bool:
         if key in self._memory:

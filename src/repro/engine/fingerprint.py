@@ -13,11 +13,20 @@ never touches its RNG for them, so the run tag and the phase seed are
 excluded from their fingerprint.  That is what lets, e.g., the Fig. 14
 two-mapping comparison reuse runs already executed by the Fig. 15
 exhaustive enumeration — same chip, same programs, different tags.
+
+Each live :class:`CurrentProgram`'s canonical text is computed once:
+a campaign fingerprints the same program objects over and over (every
+core of a mapping, every mapping of a sweep).  The memo is keyed by
+identity, not by value — frozen dataclasses compare ``1 == 1.0`` and
+``0.0 == -0.0`` equal although their texts differ — and holds its
+programs weakly, so a program the caller drops (serve decodes fresh
+ones for every request) leaves the memo with it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import fields, is_dataclass
 from typing import Sequence
 
@@ -42,14 +51,12 @@ def canonical(value: object) -> str:
     Dataclasses are expanded field by field (class name included), dicts
     are sorted by key, sequences are expanded element-wise, numpy
     scalars collapse to Python numbers.  The result is stable across
-    processes (no ``id()``/``hash()`` involvement).
+    processes (no ``id()``/``hash()`` involvement in the text).
     """
+    if type(value) is CurrentProgram:
+        return _program_text(value)
     if is_dataclass(value) and not isinstance(value, type):
-        parts = ",".join(
-            f"{f.name}={canonical(getattr(value, f.name))}"
-            for f in fields(value)
-        )
-        return f"{type(value).__name__}({parts})"
+        return _dataclass_text(value)
     if isinstance(value, dict):
         items = ",".join(
             f"{canonical(k)}:{canonical(v)}" for k, v in sorted(value.items())
@@ -62,6 +69,35 @@ def canonical(value: object) -> str:
     if isinstance(value, float):
         return repr(value)
     return repr(value)
+
+
+def _dataclass_text(value: object) -> str:
+    parts = ",".join(
+        f"{f.name}={canonical(getattr(value, f.name))}" for f in fields(value)
+    )
+    return f"{type(value).__name__}({parts})"
+
+
+#: ``id(program)`` → (weak reference to the program, its canonical
+#: text).  An entry leaves when its program is collected; a reader
+#: checks the reference, so a recycled id can never return another
+#: program's text.
+_PROGRAM_TEXT: dict[int, tuple[weakref.ref, str]] = {}
+
+
+def _program_text(program: CurrentProgram) -> str:
+    key = id(program)
+    entry = _PROGRAM_TEXT.get(key)
+    if entry is not None and entry[0]() is program:
+        return entry[1]
+    text = _dataclass_text(program)
+
+    def forget(ref: weakref.ref) -> None:
+        if _PROGRAM_TEXT.get(key, (None,))[0] is ref:
+            _PROGRAM_TEXT.pop(key, None)
+
+    _PROGRAM_TEXT[key] = (weakref.ref(program, forget), text)
+    return text
 
 
 def content_key(*parts: object) -> str:

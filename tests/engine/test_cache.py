@@ -113,6 +113,39 @@ class TestDiskTier:
         assert leftovers == []
 
 
+class TestGetOrCompute:
+    def test_miss_computes_and_publishes_the_record(self, tmp_path, telemetry):
+        cache = ResultCache(cache_dir=tmp_path, telemetry=telemetry)
+        value = cache.get_or_compute(
+            "abcd", lambda: [3, 1, 2], to_record=tuple
+        )
+        assert value == [3, 1, 2]
+        assert ResultCache(cache_dir=tmp_path).get("abcd") == (3, 1, 2)
+        assert telemetry.counter("engine.cache.misses") == 1
+
+    def test_hit_rebuilds_from_the_record_without_computing(
+        self, tmp_path, telemetry
+    ):
+        ResultCache(cache_dir=tmp_path).put("abcd", (3, 1, 2))
+        cache = ResultCache(cache_dir=tmp_path, telemetry=telemetry)
+
+        def compute():
+            raise AssertionError("a hit must not compute")
+
+        assert cache.get_or_compute("abcd", compute, from_record=list) == [
+            3, 1, 2,
+        ]
+        assert telemetry.counter("engine.cache.disk_hits") == 1
+
+    def test_torn_record_is_recomputed(self, tmp_path, telemetry):
+        ResultCache(cache_dir=tmp_path).put("abcd", {"v": 1})
+        (tmp_path / "ab" / "abcd.pkl").write_bytes(b"torn write")
+        cache = ResultCache(cache_dir=tmp_path, telemetry=telemetry)
+        assert cache.get_or_compute("abcd", lambda: {"v": 1}) == {"v": 1}
+        assert telemetry.counter("engine.cache.quarantined") == 1
+        assert ResultCache(cache_dir=tmp_path).get("abcd") == {"v": 1}
+
+
 class TestQuarantine:
     def test_corrupt_entry_is_parked_for_post_mortem(self, tmp_path, telemetry):
         cache = ResultCache(cache_dir=tmp_path, telemetry=telemetry)

@@ -1,8 +1,15 @@
 """Fingerprint tests: canonical forms and run content addressing."""
 
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 
+from repro.engine import fingerprint as fingerprint_module
 from repro.engine.fingerprint import (
+    _dataclass_text,
     canonical,
     chip_fingerprint,
     content_key,
@@ -11,7 +18,7 @@ from repro.engine.fingerprint import (
 )
 from repro.machine.chip import Chip
 from repro.machine.runner import RunOptions
-from repro.machine.workload import idle_program
+from repro.machine.workload import CurrentProgram, idle_program
 
 from .conftest import didt
 
@@ -88,3 +95,96 @@ class TestRunFingerprint:
         assert chip_fingerprint(chip) == chip_fingerprint(
             Chip(chip.config, chip_id=chip.chip_id)
         )
+
+
+class TestProgramTextMemo:
+    """Each live program's canonical text is memoized by identity and
+    held weakly; the text itself never changes."""
+
+    def test_memoized_text_is_the_field_expansion(self):
+        program = didt(sync=False)
+        expected = (
+            "CurrentProgram(name='m',i_low=14.0,i_high=32.0,"
+            "freq_hz=2600000.0,duty=0.5,rise_time=1.1e-08,sync=None)"
+        )
+        assert canonical(program) == expected
+        assert canonical(program) == expected  # served by the memo
+        assert id(program) in fingerprint_module._PROGRAM_TEXT
+
+    def test_equal_programs_with_different_reprs_keep_their_own_text(self):
+        """A frozen dataclass compares ``1 == 1.0`` and ``0.0 == -0.0``
+        equal, but their canonical texts differ; a value-keyed memo
+        would hand one program the other's text."""
+        ints = CurrentProgram("p", i_low=1, i_high=2)
+        floats = CurrentProgram("p", i_low=1.0, i_high=2.0)
+        zero = CurrentProgram("p", i_low=0.0, i_high=0.0)
+        negative_zero = CurrentProgram("p", i_low=-0.0, i_high=0.0)
+        assert ints == floats and zero == negative_zero
+        texts = [
+            canonical(program)
+            for program in (ints, floats, zero, negative_zero)
+        ]
+        tail = ",freq_hz=None,duty=0.5,rise_time=2e-09,sync=None)"
+        assert texts == [
+            "CurrentProgram(name='p',i_low=1,i_high=2" + tail,
+            "CurrentProgram(name='p',i_low=1.0,i_high=2.0" + tail,
+            "CurrentProgram(name='p',i_low=0.0,i_high=0.0" + tail,
+            "CurrentProgram(name='p',i_low=-0.0,i_high=0.0" + tail,
+        ]
+        assert canonical(floats) == texts[1]
+        assert canonical(ints) == texts[0]
+
+    def test_dropped_program_is_collected_and_forgotten(self):
+        program = didt(i_high=31.0)
+        canonical([program] * 6)
+        key = id(program)
+        assert key in fingerprint_module._PROGRAM_TEXT
+        ref = weakref.ref(program)
+        del program
+        gc.collect()
+        assert ref() is None
+        assert key not in fingerprint_module._PROGRAM_TEXT
+
+    def test_run_fingerprint_is_unchanged_by_the_memo(self):
+        mapping = [didt(sync=False)] * 6
+        first = run_fingerprint("chipfp", mapping, RunOptions(), "t")
+        fingerprint_module._PROGRAM_TEXT.clear()
+        fresh = [didt(sync=False) for _ in range(6)]
+        assert run_fingerprint("chipfp", fresh, RunOptions(), "t") == first
+        assert run_fingerprint("chipfp", mapping, RunOptions(), "t") == first
+
+    def test_threads_sharing_the_memo_read_only_their_own_text(self):
+        """Serve fingerprints on several threads at once: racing
+        writers may compute a text twice, but no reader gets another
+        program's text, and no entry outlives its program."""
+        shared = [didt(i_high=20.0 + k) for k in range(8)]
+        expected = {id(p): canonical(p) for p in shared}
+        fingerprint_module._PROGRAM_TEXT.clear()
+        wrong = []
+
+        def worker(seed: int) -> None:
+            for k in range(300):
+                fresh = didt(i_high=40.0 + (seed * 300 + k) % 97)
+                text = canonical([fresh, shared[k % 8]])
+                if text != "[{},{}]".format(
+                    _dataclass_text(fresh), expected[id(shared[k % 8])]
+                ):
+                    wrong.append(text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        gc.collect()
+        assert set(fingerprint_module._PROGRAM_TEXT) <= set(expected)

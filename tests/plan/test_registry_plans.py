@@ -14,8 +14,30 @@ import pytest
 
 from repro.chips import build_chip, get_family
 from repro.engine import ResultCache, SimulationSession
-from repro.experiments import all_experiments, compile_campaign, get_experiment
+from repro.experiments import (
+    all_experiments,
+    compile_campaign,
+    get_experiment,
+    quick_context,
+)
 from repro.obs import Telemetry
+
+#: The quick-tier ``plan all`` fingerprint (``repro-noise --quick plan
+#: all``) — a cross-PR regression constant.  If this assertion ever
+#: fails, the change altered the fingerprint of some run of the quick
+#: campaign (a program's canonical text, the run options, a driver's
+#: declared runs), and every cache entry and campaign manifest written
+#: before it is orphaned.  Do not update the constant without that
+#: intent.
+QUICK_PLAN_ALL_FP = (
+    "bed42b5fbef67bdcbd29f39b27af48b66fccedee9f110a79b965c48946153fd2"
+)
+
+
+def test_quick_plan_all_fingerprint_is_pinned():
+    campaign = compile_campaign(list(all_experiments()), quick_context())
+    assert campaign.total_unique == 175
+    assert campaign.fingerprint() == QUICK_PLAN_ALL_FP
 
 
 @pytest.mark.parametrize(
