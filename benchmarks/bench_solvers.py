@@ -25,14 +25,15 @@ from repro.pdn.zec12 import reference_chip_parameters
 
 
 def _oracle_solve(runner, batch, nodes):
-    """``ChipRunner._solve`` by per-edge superposition."""
+    """``ChipRunner._solve`` by per-edge superposition: one block per
+    distinct segment."""
     library = runner.chip.response_library
     return [
         [
             assemble_voltage(library, node, seg.trains, seg.times)
             for node in nodes
         ]
-        for seg in batch.segments
+        for seg in batch.distinct_segments
     ]
 
 

@@ -1708,9 +1708,33 @@ def _run_top(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        status = _dispatch(build_parser().parse_args(argv))
+        # Flush here, so a closed pipe surfaces inside this handler and
+        # not in the interpreter's exit flush.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``repro-noise plan all | head -1``).
+        # As the SIGPIPE note in the Python docs does, point stdout at
+        # devnull, so what is still buffered cannot raise again on
+        # exit, and fail without a traceback.
+        _stdout_to_devnull()
+        return 1
+    return status
 
+
+def _stdout_to_devnull() -> None:
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):
+        # An in-process stream without a descriptor of its own.
+        sys.stdout = open(os.devnull, "w")
+    finally:
+        os.close(devnull)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "profile":
         return _run_profile(args)
     if args.command == "plan":

@@ -4,32 +4,37 @@ The scalar pipeline — :func:`~repro.core.sequences.enumerate_sequences`
 into :func:`~repro.core.filters.microarch_filter` into
 :func:`~repro.core.filters.ipc_filter` — materializes every one of the
 9^6 = 531 441 candidate tuples and walks each through the group-forming
-automaton and the throughput model one Python call at a time.  That
-enumeration dominates stressmark generation wall clock, which in turn
-dominates a cold batched campaign (the solves themselves are served by
-the compiled chip kernel).
+automaton and the throughput model one Python call at a time.
 
-This module evaluates the same funnel over the *index space* instead:
-sequences are rows of digits indexing the (small) candidate pool, so
-every per-sequence quantity is a gather from a per-candidate attribute
-table and the whole space is filtered and scored with array arithmetic.
-Only the final ``keep`` winners are materialized as instruction tuples.
+This module evaluates the same funnel over the space as a *prefix
+tree*: every sequence of length k extends one of length k − 1 by one
+candidate, and shares its first k − 1 instructions with ``pool − 1``
+siblings.  Every per-sequence quantity (the structural counts, the
+dispatch-group automaton's state and closed groups, the per-unit loads,
+the serialize penalty, the µop and EPI-weight sums) is a fold over the
+positions, so level k holds its level k − 1 value repeated once per
+candidate plus the table entry of the k-th digit.  Each level is one
+broadcast over the previous one; no per-sequence digit matrix is built,
+and only the final ``keep`` winners are decoded from their flat index
+and materialized as instruction tuples.
 
 Exact-parity contract with the scalar filters (enforced by tests):
 
-* enumeration order is the lexicographic order of
-  ``itertools.product`` — digit 0 varies slowest;
+* flat indices are the lexicographic order of ``itertools.product`` —
+  digit 0 varies slowest, the digit a level appends fastest;
 * the structural constraints are totals-based (the scalar early-return
   is just short-circuiting of the same threshold checks);
-* the dispatch-group automaton is stepped position-by-position with
-  vector state, mirroring :func:`~repro.uarch.grouping.form_groups`
+* the dispatch-group automaton is :func:`~repro.uarch.grouping.form_groups`
+  tabulated over its (open-group size, memory ops in it) states,
   decision for decision;
-* IPC scores accumulate per-position in position order (adding 0.0 for
+* IPC scores accumulate in position order (adding 0.0 for
   non-contributing positions, which is exact for the non-negative
   terms involved), so every score is bit-identical to
   :func:`~repro.uarch.throughput.analyze_loop`'s, and the final
   ranking uses the same ``(-ipc, -weight, index)`` key with the unique
-  enumeration index as tie-break.
+  enumeration index as tie-break.  The scores only matter for the
+  microarchitectural survivors, so the last position is added to the
+  survivors' prefixes alone.
 """
 
 from __future__ import annotations
@@ -47,84 +52,106 @@ from .sequences import DEFAULT_SEQUENCE_LENGTH
 __all__ = ["search_sequence_space"]
 
 
-def _attribute_tables(
+def _extend(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The next level of the prefix tree.  *values* holds one row per
+    quantity and one column per prefix, *table* one row per quantity
+    and one column per candidate: every prefix's value is repeated once
+    per candidate, plus that candidate's entry.  Columns stay in
+    enumeration order (the appended digit varies fastest)."""
+    return (values[:, :, None] + table[:, None, :]).reshape(len(table), -1)
+
+
+def _count_table(
+    candidates: Sequence[InstructionDef], constraints: FilterConstraints
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-candidate increments of the structurally limited counts (one
+    row each: branches, memory ops, non-pipelined ops, then one per
+    issue class) and the limit of each row."""
+    classes = list(dict.fromkeys(c.issue_class for c in candidates))
+    table = np.array(
+        [[c.is_branch for c in candidates],
+         [c.memory for c in candidates],
+         [not c.pipelined for c in candidates]]
+        + [[c.issue_class == issue_class for c in candidates]
+           for issue_class in classes]
+    )
+    limits = np.array(
+        [constraints.max_branches, constraints.max_memory,
+         constraints.max_nonpipelined]
+        + [constraints.max_per_issue_class] * len(classes)
+    )
+    return table, limits
+
+
+def _group_automaton(
     candidates: Sequence[InstructionDef], config: CoreConfig
-) -> dict[str, np.ndarray]:
-    """Per-candidate attribute vectors the index-space filters gather
-    from."""
-    alone = np.array([c.group_alone for c in candidates], dtype=bool)
-    ends = np.array([c.ends_group for c in candidates], dtype=bool)
-    mem = np.array([c.memory for c in candidates], dtype=bool)
-    branch = np.array([c.is_branch for c in candidates], dtype=bool)
-    pipelined = np.array([c.pipelined for c in candidates], dtype=bool)
-    serializing = np.array([c.serializing for c in candidates], dtype=bool)
-    uops = np.array([c.uops for c in candidates], dtype=np.int64)
-    latency = np.array([float(c.latency) for c in candidates])
-    occupancy = np.where(pipelined, 1.0, latency)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`~repro.uarch.grouping.form_groups` as a finite automaton.
+
+    States are the (instructions, memory ops) of the open group, state
+    0 the empty one; only the states reachable from it are numbered.
+    Returns ``(next_state, closed, still_open)``: ``next_state[s, d]``
+    and ``closed[s, d]`` are the state after appending candidate *d* in
+    state *s* and the groups that closes, ``still_open[s]`` is 1 when
+    state *s* leaves a group for the final close."""
+    width = config.dispatch_width
+    max_mem = config.max_memory_per_group
+    states = {(0, 0): 0}
+    rows: list[list[tuple[tuple[int, int], int]]] = []
+    pending = [(0, 0)]
+    while pending:
+        cur, mic = pending.pop(0)
+        row = []
+        for inst in candidates:
+            closed = 0
+            after = (cur, mic)
+            if inst.group_alone:
+                # close the open group, dispatch alone
+                closed, after = int(cur > 0) + 1, (0, 0)
+            else:
+                if after[0] >= width:
+                    closed, after = closed + 1, (0, 0)
+                if inst.memory and after[1] >= max_mem:
+                    closed, after = closed + int(after[0] > 0), (0, 0)
+                after = (after[0] + 1, after[1] + int(inst.memory))
+                if inst.ends_group:
+                    closed, after = closed + 1, (0, 0)
+            if after not in states:
+                states[after] = len(states)
+                pending.append(after)
+            row.append((after, closed))
+        rows.append(row)
+    next_state = np.array([[states[after] for after, _ in row] for row in rows])
+    closed = np.array([[n for _, n in row] for row in rows], dtype=np.int32)
+    still_open = np.array([int(cur > 0) for cur, _ in states], dtype=np.int32)
+    return next_state, closed, still_open
+
+
+def _score_table(
+    candidates: Sequence[InstructionDef],
+    config: CoreConfig,
+    weights: dict[str, float],
+) -> np.ndarray:
+    """Per-candidate summands of the IPC and tie-break scores, one row
+    each: µops (small integers, exact in float64), serialize penalty,
+    EPI weight, then one load row per functional unit (0.0 off the
+    candidate's own unit)."""
     units = list(dict.fromkeys(c.unit for c in candidates))
-    unit_id = np.array([units.index(c.unit) for c in candidates])
     # Same expression, same operand types as the scalar model's
-    # ``inst.uops * occupancy / config.unit_count(inst.unit)`` — one
-    # float64 value per candidate, reused for every occurrence.
-    unit_term = np.array([
+    # ``inst.uops * occupancy / config.unit_count(inst.unit)``.
+    loads = [
         c.uops * (float(c.latency) if not c.pipelined else 1.0)
         / config.unit_count(c.unit)
         for c in candidates
-    ])
-    penalty = np.where(serializing, latency - 1.0, 0.0)
-    classes = list(dict.fromkeys(c.issue_class for c in candidates))
-    class_id = np.array([classes.index(c.issue_class) for c in candidates])
-    return {
-        "alone": alone, "ends": ends, "mem": mem, "branch": branch,
-        "pipelined": pipelined, "uops": uops, "unit_id": unit_id,
-        "n_units": np.int64(len(units)), "unit_term": unit_term,
-        "penalty": penalty, "class_id": class_id,
-        "n_classes": np.int64(len(classes)),
-    }
-
-
-def _group_counts(
-    idx: np.ndarray, attrs: dict[str, np.ndarray], config: CoreConfig
-) -> np.ndarray:
-    """Dispatch groups per sequence: :func:`form_groups` stepped with
-    vector state over every sequence at once."""
-    length, count = idx.shape
-    cur = np.zeros(count, dtype=np.int16)       # instructions in the open group
-    mic = np.zeros(count, dtype=np.int16)       # memory ops in the open group
-    groups = np.zeros(count, dtype=np.int32)
-    width = config.dispatch_width
-    max_mem = config.max_memory_per_group
-    for position in range(length):
-        digit = idx[position]
-        alone = attrs["alone"][digit]
-        memory = attrs["mem"][digit]
-        ends = attrs["ends"][digit]
-        # group_alone: close the open group, dispatch alone.
-        groups += np.where(alone, (cur > 0).astype(np.int32) + 1, 0)
-        cur[alone] = 0
-        mic[alone] = 0
-        rest = ~alone
-        # close at dispatch width (the group is non-empty by definition)
-        full = rest & (cur >= width)
-        groups += full
-        cur[full] = 0
-        mic[full] = 0
-        # close at the per-group memory budget (a no-op on an already
-        # empty group, exactly like the scalar close())
-        mem_full = rest & memory & (mic >= max_mem)
-        groups += mem_full & (cur > 0)
-        cur[mem_full] = 0
-        mic[mem_full] = 0
-        # append
-        cur += rest
-        mic += rest & memory
-        # a group-ending instruction closes the (now non-empty) group
-        closing = rest & ends
-        groups += closing
-        cur[closing] = 0
-        mic[closing] = 0
-    groups += (cur > 0)
-    return groups
+    ]
+    return np.array(
+        [[float(c.uops) for c in candidates],
+         [c.latency - 1.0 if c.serializing else 0.0 for c in candidates],
+         [weights.get(c.mnemonic, 0.0) for c in candidates]]
+        + [[load if c.unit == unit else 0.0
+            for c, load in zip(candidates, loads)]
+           for unit in units]
+    )
 
 
 def search_sequence_space(
@@ -151,76 +178,50 @@ def search_sequence_space(
     if keep < 1:
         raise GenerationError("must keep at least one sequence")
     constraints = constraints or FilterConstraints()
-    weights = epi_weights or {}
-    attrs = _attribute_tables(candidates, config)
     pool = len(candidates)
     total = pool ** length
+    count_table, limits = _count_table(candidates, constraints)
+    count_table = count_table.astype(np.min_scalar_type(length))  # counts <= length
+    next_state, closed, still_open = _group_automaton(candidates, config)
+    score_table = _score_table(candidates, config, epi_weights or {})
 
-    # Index space, lexicographic: digit 0 varies slowest, matching
-    # itertools.product enumeration order.
-    idx = np.indices((pool,) * length, dtype=np.int32).reshape(length, total)
-
-    # -- microarchitectural filter (totals-based structural checks) --
-    ok = (
-        (attrs["branch"][idx].sum(axis=0) <= constraints.max_branches)
-        & (attrs["mem"][idx].sum(axis=0) <= constraints.max_memory)
-        & ((~attrs["pipelined"])[idx].sum(axis=0)
-           <= constraints.max_nonpipelined)
-    )
-    class_digits = attrs["class_id"][idx]
-    for issue_class in range(int(attrs["n_classes"])):
-        ok &= (
-            (class_digits == issue_class).sum(axis=0)
-            <= constraints.max_per_issue_class
-        )
-    del class_digits
-    groups = _group_counts(idx, attrs, config)
+    # -- microarchitectural filter, level by level from the empty prefix --
+    counts = np.zeros((len(count_table), 1), dtype=count_table.dtype)
+    state = np.zeros(1, dtype=np.intp)
+    groups = np.zeros(1, dtype=np.int32)
+    scores = np.zeros((len(score_table), 1))
+    for position in range(length):
+        counts = _extend(counts, count_table)
+        groups = (groups[:, None] + closed[state]).ravel()
+        state = next_state[state].ravel()
+        if position < length - 1:
+            scores = _extend(scores, score_table)
+    groups += still_open[state]
+    ok = (counts <= limits[:, None]).all(axis=0)
     ok &= (length / groups) >= constraints.required_group_size
     micro_stats = FilterStats(examined=total, accepted=int(ok.sum()))
     if not micro_stats.accepted:
         return [], micro_stats, FilterStats()
 
     survivors = np.flatnonzero(ok)          # ascending = enumeration order
-    sidx = idx[:, survivors]
     sgroups = groups[survivors].astype(float)
-    del idx, groups, ok
-    n_survivors = survivors.size
+    del counts, state, groups, ok
 
     # -- IPC scoring (bit-identical to analyze_loop, see module doc) --
-    uops_total = np.zeros(n_survivors, dtype=np.int64)
-    for position in range(length):
-        uops_total += attrs["uops"][sidx[position]]
-    cycles = sgroups
-    for unit in range(int(attrs["n_units"])):
-        load = np.zeros(n_survivors)
-        for position in range(length):
-            digit = sidx[position]
-            load = load + np.where(
-                attrs["unit_id"][digit] == unit,
-                attrs["unit_term"][digit],
-                0.0,
-            )
-        cycles = np.maximum(cycles, load)
-    penalty = np.zeros(n_survivors)
-    for position in range(length):
-        penalty = penalty + attrs["penalty"][sidx[position]]
-    cycles = cycles + penalty
-    ipc = uops_total / cycles
-
-    weight_table = np.array(
-        [weights.get(c.mnemonic, 0.0) for c in candidates]
+    scores = (
+        scores.take(survivors // pool, axis=1)
+        + score_table.take(survivors % pool, axis=1)
     )
-    weight_sum = np.zeros(n_survivors)
-    for position in range(length):
-        weight_sum = weight_sum + weight_table[sidx[position]]
+    uops, penalty, weight = scores[0], scores[1], scores[2]
+    cycles = np.maximum(sgroups, scores[3:].max(axis=0)) + penalty
+    ipc = uops / cycles
 
-    # sort by (-ipc, -weight, survivor index); lexsort's last key is
+    # sort by (-ipc, -weight, enumeration index); lexsort's last key is
     # primary and the unique index makes the order total, so stability
     # semantics cannot diverge from the scalar sort.
-    order = np.lexsort((np.arange(n_survivors), -weight_sum, -ipc))
-    top = order[: min(keep, n_survivors)]
-    finalists = [
-        tuple(candidates[digit] for digit in sidx[:, row]) for row in top
-    ]
-    ipc_stats = FilterStats(examined=n_survivors, accepted=len(finalists))
+    order = np.lexsort((survivors, -weight, -ipc))
+    top = survivors[order[: min(keep, survivors.size)]]
+    digits = np.stack(np.unravel_index(top, (pool,) * length), axis=1)
+    finalists = [tuple(candidates[digit] for digit in row) for row in digits]
+    ipc_stats = FilterStats(examined=survivors.size, accepted=len(finalists))
     return finalists, micro_stats, ipc_stats

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..machine.chip import Chip
 from ..machine.runner import RunOptions
-from ..machine.workload import CurrentProgram
+from ..machine.workload import CurrentProgram, is_deterministic_mapping
 
 __all__ = [
     "canonical",
@@ -116,18 +116,6 @@ def chip_fingerprint(chip: Chip) -> str:
     (PDN, core, skitter, seeds, SSN weights) plus the variation-draw
     ``chip_id``."""
     return canonical((type(chip).__name__, chip.config, chip.chip_id))
-
-
-def is_deterministic_mapping(
-    mapping: Sequence[CurrentProgram | None],
-) -> bool:
-    """True when no program in *mapping* draws random phases — every
-    bursting program is TOD-synchronized, so the run is independent of
-    the run tag and the phase seed."""
-    return not any(
-        program is not None and program.is_phase_randomized
-        for program in mapping
-    )
 
 
 def run_fingerprint(

@@ -11,10 +11,12 @@ min/mean/max, utilization, droop events) and accepts an
 (:mod:`repro.control`) runs.
 
 **Exact continuation invariant.**  Stepping is not an approximation:
-each segment is solved once, whole, through
+each distinct segment is solved once, whole, through
 :meth:`CompiledChipKernel.evaluate
-<repro.pdn.kernels.CompiledChipKernel.evaluate>`, and its windows are
-slices of that block, so stitching the emitted windows back together is
+<repro.pdn.kernels.CompiledChipKernel.evaluate>` (a synchronized run
+lists one segment object for every observation window, so it solves
+once), and its windows are slices of that block, so stitching the
+emitted windows back together is
 *bit-identical* to the monolithic kernel solve.  At the end,
 :meth:`SteppingSession.result` hands the sticky state accumulated over
 the windows to :meth:`ChipRunner.measure
@@ -201,10 +203,9 @@ class SteppingSession:
             for segment in self.batch.segments
         ]
 
-        # Each segment's core-node deviation block, solved on first use.
-        self._blocks: list[np.ndarray | None] = [None] * len(
-            self.batch.segments
-        )
+        # Each distinct segment's core-node deviation block, solved on
+        # first use and keyed by the segment object's identity.
+        self._blocks: dict[int, np.ndarray] = {}
         self._reset_loop_state()
 
     # -- loop state -----------------------------------------------------
@@ -257,11 +258,13 @@ class SteppingSession:
     # -- solve plumbing -------------------------------------------------
     def _segment_rows(self, seg: int) -> np.ndarray:
         """Core-node deviation block of segment *seg*: solved once on
-        first use (through the fault plan, with retry, when one is
-        set) and kept for every later window and rewind."""
-        block = self._blocks[seg]
+        first use of its segment object (through the fault plan, with
+        retry, when one is set) and kept for every later window, every
+        later segment listing the same object, and every rewind."""
+        key = id(self.batch.segments[seg])
+        block = self._blocks.get(key)
         if block is None:
-            block = self._blocks[seg] = self._solve_segment(seg)
+            block = self._blocks[key] = self._solve_segment(seg)
         return block
 
     def _solve_segment(self, seg: int) -> np.ndarray:

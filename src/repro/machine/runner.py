@@ -15,6 +15,11 @@ window somewhere in the long physical run:
   sticky skitter keeps the worst case across segments, exactly like
   sticky mode accumulating across a long run.
 
+A run with no phase-randomized program therefore has one segment
+stimulus, listed once per observation window: it is built, solved and
+folded into the sticky state once (min, max and the coherent-ΔI max are
+idempotent, so the reading is the same as folding every copy).
+
 Within a segment the per-core voltage waveforms are solved by the
 chip's compiled kernel (:class:`~repro.pdn.kernels.CompiledChipKernel`,
 pinned against per-edge superposition of ramp responses in the tests),
@@ -36,7 +41,7 @@ from ..pdn.kernels import SampleGrid
 from ..pdn.superposition import EdgeTrain, edges_from_square_wave
 from ..rng import stream
 from .chip import Chip
-from .workload import CurrentProgram
+from .workload import CurrentProgram, is_deterministic_mapping
 
 __all__ = [
     "RunOptions",
@@ -179,7 +184,6 @@ class SegmentStimulus:
     coherent-ΔI figures.  Pure data — the solver and its test oracles
     consume it."""
 
-    index: int
     trains: list[EdgeTrain]
     samples: SampleGrid
     coherent: list[float]
@@ -198,7 +202,8 @@ class StimulusBatch:
     Built by :meth:`ChipRunner.build_stimulus`; the compiled kernel
     solves it in production, and the superposition oracle solves the
     same batch in the tests, which makes the two comparable
-    run-for-run.
+    run-for-run.  ``segments`` has one entry per observation window;
+    a synchronized run lists the same object in every entry.
     """
 
     mapping: list[CurrentProgram | None]
@@ -206,6 +211,12 @@ class StimulusBatch:
     run_tag: object
     dc_levels: dict[str, float]
     segments: list[SegmentStimulus]
+
+    @property
+    def distinct_segments(self) -> list[SegmentStimulus]:
+        """Each distinct segment object once, in window order: what a
+        solve has to evaluate and a sticky readout has to fold."""
+        return list({id(segment): segment for segment in self.segments}.values())
 
 
 class ChipRunner:
@@ -251,32 +262,43 @@ class ChipRunner:
 
         idle_amps = chip.config.core.static_power_w / chip.vnom
         baseline = dict(options.nest_currents)
-        for core, program in enumerate(mapping):
-            port = chip.core_ports[core]
+        for port, program in zip(chip.core_ports, mapping):
             baseline[port] = program.i_low if program is not None else idle_amps
 
         dc_levels = self._dc_levels(
             baseline, self._slow_average(mapping, baseline, options)
         )
-        segments = []
-        for segment in range(options.segments):
-            trains = self._build_trains(mapping, options, run_tag, segment)
-            samples = self._sample_times(trains, options)
-            coherent = self._coherent_delta_i(mapping, trains, options)
-            segments.append(
-                SegmentStimulus(
-                    index=segment,
-                    trains=trains,
-                    samples=samples,
-                    coherent=coherent,
-                )
-            )
+        if is_deterministic_mapping(mapping):
+            # Every burst starts at its programmed TOD offset in every
+            # window: one stimulus stands for all of them.
+            segments = [
+                self._build_segment(mapping, options, run_tag, 0)
+            ] * options.segments
+        else:
+            segments = [
+                self._build_segment(mapping, options, run_tag, segment)
+                for segment in range(options.segments)
+            ]
         return StimulusBatch(
             mapping=list(mapping),
             options=options,
             run_tag=run_tag,
             dc_levels=dc_levels,
             segments=segments,
+        )
+
+    def _build_segment(
+        self,
+        mapping: Sequence[CurrentProgram | None],
+        options: RunOptions,
+        run_tag: object,
+        segment: int,
+    ) -> SegmentStimulus:
+        trains = self._build_trains(mapping, options, run_tag, segment)
+        return SegmentStimulus(
+            trains=trains,
+            samples=self._sample_times(trains, options),
+            coherent=self._coherent_delta_i(mapping, trains, options),
         )
 
     # -- phase 2 + 3: solve and measure ---------------------------------
@@ -289,7 +311,7 @@ class ChipRunner:
             {"v_min": np.inf, "v_max": -np.inf, "coherent": 0.0}
             for _ in range(chip.n_cores)
         ]
-        for segment, rows in zip(batch.segments, deviations):
+        for segment, rows in zip(batch.distinct_segments, deviations):
             for core, node in enumerate(core_nodes):
                 volts = batch.dc_levels[node] + rows[core]
                 state = sticky[core]
@@ -360,10 +382,10 @@ class ChipRunner:
     def _solve(
         self, batch: StimulusBatch, nodes: list[str]
     ) -> list[list[np.ndarray]]:
-        """Per-segment deviation waveforms for *nodes*: every segment
-        of the run evaluated as one stacked kernel batch."""
+        """Deviation waveforms for *nodes*, one block per distinct
+        segment of the run, evaluated as one stacked kernel batch."""
         return self.chip.compiled_kernel.solve_batch(
-            [(seg.trains, seg.samples) for seg in batch.segments],
+            [(seg.trains, seg.samples) for seg in batch.distinct_segments],
             nodes=nodes,
         )
 
@@ -393,10 +415,9 @@ class ChipRunner:
         (unsynchronized) stressmarks are always regulated.
         """
         average = dict(baseline)
-        for core, program in enumerate(mapping):
+        for port, program in zip(self.chip.core_ports, mapping):
             if program is None or program.is_steady:
                 continue
-            port = self.chip.core_ports[core]
             if program.sync is not None:
                 burst_seconds = program.sync.events_per_sync / program.freq_hz
                 if burst_seconds < options.vrm_response:
@@ -442,6 +463,7 @@ class ChipRunner:
         segment: int,
     ) -> list[EdgeTrain]:
         """Edge trains of all bursting cores for one segment."""
+        ports = self.chip.core_ports
         trains: list[EdgeTrain] = []
         for core, program in enumerate(mapping):
             if program is None or program.is_steady:
@@ -460,7 +482,7 @@ class ChipRunner:
                 n_events = options.events_cap
             trains.append(
                 edges_from_square_wave(
-                    self.chip.core_ports[core],
+                    ports[core],
                     delta_i=program.delta_i,
                     freq_hz=freq,
                     n_events=n_events,

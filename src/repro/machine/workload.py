@@ -12,11 +12,14 @@ this form using the microarchitecture's power model; the run engine
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from ..errors import ConfigError
 from .tod import SYNC_INTERVAL, TOD_STEP
 
-__all__ = ["SyncSpec", "CurrentProgram", "idle_program"]
+__all__ = [
+    "SyncSpec", "CurrentProgram", "idle_program", "is_deterministic_mapping",
+]
 
 
 @dataclass(frozen=True)
@@ -123,3 +126,16 @@ def idle_program(idle_current: float) -> CurrentProgram:
     """The 'nothing' workload of the paper's ΔI study: a core sitting
     at its static current."""
     return CurrentProgram(name="idle", i_low=idle_current, i_high=idle_current)
+
+
+def is_deterministic_mapping(
+    mapping: Sequence[CurrentProgram | None],
+) -> bool:
+    """True when no program in *mapping* draws random phases — every
+    bursting program is TOD-synchronized, so the run is independent of
+    the run tag and the phase seed, and every observation window sees
+    the same stimulus."""
+    return not any(
+        program is not None and program.is_phase_randomized
+        for program in mapping
+    )

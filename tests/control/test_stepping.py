@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.control.study import results_identical
@@ -9,7 +11,9 @@ from repro.engine import SimulationSession
 from repro.engine.cache import ResultCache
 from repro.engine.stepping import Actuation, SteppingSession
 from repro.errors import ConfigError, ControlError
+from repro.machine.runner import ChipRunner
 from repro.machine.system import VOLTAGE_STEP
+from repro.pdn.kernels import CompiledChipKernel
 
 
 def monolithic(chip, mapping, options):
@@ -30,6 +34,41 @@ class TestExactContinuation:
         assert len(observations) == stepping.n_windows
         baseline = monolithic(chip, loop_mapping, loop_options)
         assert results_identical(stepping.result(), baseline)
+
+    def test_synchronized_run_solves_one_segment(
+        self, chip, loop_mapping, loop_options, monkeypatch
+    ):
+        """Every window of the synchronized run lists one segment
+        object: it is solved once, and stepping over distinct copies
+        of it, each solved on its own, observes the same windows."""
+        evaluated = []
+        real = CompiledChipKernel.evaluate
+
+        def spy(self, *args, **kwargs):
+            evaluated.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledChipKernel, "evaluate", spy)
+        shared = SteppingSession(
+            chip, loop_mapping, loop_options, windows_per_segment=4
+        )
+        assert loop_options.segments > 1
+        observations = shared.run_to_completion()
+        assert len(evaluated) == 1
+
+        build = ChipRunner.build_stimulus
+
+        def per_window_copies(self, *args, **kwargs):
+            batch = build(self, *args, **kwargs)
+            batch.segments = [copy.copy(segment) for segment in batch.segments]
+            return batch
+
+        monkeypatch.setattr(ChipRunner, "build_stimulus", per_window_copies)
+        copies = SteppingSession(
+            chip, loop_mapping, loop_options, windows_per_segment=4
+        )
+        assert copies.run_to_completion() == observations
+        assert len(evaluated) == 1 + loop_options.segments
 
     def test_rewind_replays_bitwise(self, chip, loop_mapping, loop_options):
         stepping = SteppingSession(

@@ -126,6 +126,10 @@ class TestPinnedOutputs:
         assert result.power_w == 35.659
         assert result.validation_powers == [35.317, 35.025]
         assert result.evaluated == 150
+        assert result.enumerated == 531_441
+        micro, ipc = result.microarch_stats, result.ipc_stats
+        assert (micro.examined, micro.accepted) == (531_441, 124_452)
+        assert (ipc.examined, ipc.accepted) == (124_452, 150)
 
     def test_medium_dilution(self, pinned):
         dilution = pinned.medium_dilution

@@ -1,5 +1,11 @@
 """Registry and CLI plumbing tests (no heavy experiment execution)."""
 
+import errno
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -9,6 +15,8 @@ from repro.experiments.registry import (
     all_experiments,
     get_experiment,
 )
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 EXPECTED_IDS = {
     "table1", "fig7a", "fig7b", "fig8", "fig9", "fig10",
@@ -169,3 +177,58 @@ class TestMetricsPlaneCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "x 2 worker(s) [live fleet]" in out
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone away: every write and flush
+    raises, as a pipe's does once ``head`` has exited."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+CLOSED_STDOUT_ARGV = [["--quick", "list"], ["--quick", "plan", "fig7b"]]
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", CLOSED_STDOUT_ARGV)
+    def test_in_process_main_returns_non_zero(
+        self, capsys, monkeypatch, argv
+    ):
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        assert main(argv) == 1
+        devnull = sys.stdout
+        assert devnull.name == os.devnull
+        devnull.close()
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", CLOSED_STDOUT_ARGV)
+    def test_closed_pipe_exits_without_a_traceback(self, argv):
+        """A real pipe whose read end is closed before the CLI writes:
+        exit status 1 and nothing on stderr, neither a traceback nor
+        the interpreter's exit-flush complaint.  Stdout is left
+        buffered, so the short output first meets the closed pipe when
+        it is flushed."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if not key.startswith("REPRO_") and key != "PYTHONUNBUFFERED"
+        }
+        env["PYTHONPATH"] = str(SRC)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == b""

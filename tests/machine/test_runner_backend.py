@@ -38,7 +38,7 @@ class OracleRunner(ChipRunner):
                 assemble_voltage(library, node, seg.trains, seg.times)
                 for node in nodes
             ]
-            for seg in batch.segments
+            for seg in batch.distinct_segments
         ]
 
     def _solve_extra(self, segment):
