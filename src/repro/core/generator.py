@@ -43,7 +43,9 @@ class StressmarkGenerator:
     Parameters
     ----------
     target:
-        Bound evaluation target; defaults to the reference platform.
+        Bound evaluation target; defaults to the reference platform,
+        built on first read of :attr:`target` (so a process that never
+        generates, such as ``serve``, builds no ISA).
     epi_repetitions:
         Loop repetitions for EPI profiling (paper skeleton: 4000).
         Tests lower this for speed; the ranking is unaffected.
@@ -58,10 +60,16 @@ class StressmarkGenerator:
         epi_repetitions: int = 400,
         ipc_keep: int = 1000,
     ):
-        self.target = target or default_target()
+        if target is not None:
+            self.target = target
         self.seed = seed
         self.epi_repetitions = epi_repetitions
         self.ipc_keep = ipc_keep
+
+    @cached_property
+    def target(self) -> Target:
+        """The reference target, built the first time it is read."""
+        return default_target()
 
     @cached_property
     def meter(self) -> PowerMeter:

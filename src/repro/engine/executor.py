@@ -40,7 +40,6 @@ one (guarded by ``tests/engine/test_worker_telemetry.py``).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 from ..errors import ConfigError
@@ -252,6 +251,10 @@ class ProcessExecutor:
                 on_result=on_result,
                 telemetry=sink,
             )
+        # Imported here, where the pool starts: a serial process never
+        # loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = chunked(entries, self.jobs)
         outcomes: list[GuardedOutcome | None] = [None] * len(entries)
         budget = self._chunk_budget_s(retry)

@@ -53,7 +53,7 @@ from typing import Sequence
 from ..errors import ConfigError, ExecutionError
 from ..machine.chip import Chip, ChipConfig
 from ..machine.runner import ChipRunner, RunOptions, RunResult
-from ..machine.workload import CurrentProgram
+from ..machine.workload import CurrentProgram, is_deterministic_mapping
 from ..obs import Telemetry, get_telemetry
 from .cache import ResultCache, global_cache
 from .executor import Executor, make_executor
@@ -240,12 +240,17 @@ class SimulationSession:
         return results  # type: ignore[return-value]
 
     # -- internals ------------------------------------------------------
-    def _account_executed(self, n_runs: int) -> None:
-        self.telemetry.increment("engine.runs_executed", n_runs)
-        # One LTI superposition solve per (segment, observed core).
+    def _account_executed(self, mappings: list[Mapping]) -> None:
+        self.telemetry.increment("engine.runs_executed", len(mappings))
+        # One LTI superposition solve per (solved segment, observed
+        # core).  A run with no phase-randomized program solves one
+        # segment for all its windows (ChipRunner.build_stimulus).
+        segments = sum(
+            1 if is_deterministic_mapping(mapping) else self.options.segments
+            for mapping in mappings
+        )
         self.telemetry.increment(
-            "engine.solver_calls",
-            n_runs * self.options.segments * self.chip.n_cores,
+            "engine.solver_calls", segments * self.chip.n_cores
         )
 
     def _execute_and_cache(
@@ -330,7 +335,9 @@ class SimulationSession:
         if timeouts:
             self.telemetry.increment("engine.timeouts", timeouts)
         failures = [o.failure for o in outcomes if not o.ok]
-        self._account_executed(len(work) - len(failures))
+        self._account_executed(
+            [mapping for (_, mapping, _), o in zip(work, outcomes) if o.ok]
+        )
         if failures:
             self.telemetry.increment("engine.failures", len(failures))
             if self.on_failure == "raise":

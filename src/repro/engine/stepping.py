@@ -31,7 +31,10 @@ paper's Vmin protocol and guard-banding.  The PDN is linear, so a
 supply-bias change is a pure offset: observed absolute voltages shift
 by ``(bias − 1)·Vnom`` while the deviation waveforms are untouched.
 That is what makes a controller gain sweep cheap: :meth:`rewind`
-restarts the loop on the same solved waveforms.
+restarts the loop on the same solved waveforms and the same window
+readings (each window's per-core min/mean/max, extent and active
+cores are read once), so a step applies only the offset, the
+simultaneous-switching deepening and the sticky fold.
 
 Fault injection: passing a :class:`~repro.faults.FaultPlan` routes each
 segment's one solve through the plan with bounded retry, so the
@@ -118,6 +121,21 @@ class WindowObservation:
         return int(np.argmin(self.v_min))
 
 
+@dataclass(frozen=True)
+class _WindowReading:
+    """The bias-independent part of one window's observation: per-core
+    nominal-supply min/mean/max, the window's extent and its active
+    cores."""
+
+    t_start: float
+    t_end: float
+    n_samples: int
+    v_min: tuple[float, ...]
+    v_mean: tuple[float, ...]
+    v_max: tuple[float, ...]
+    active_cores: tuple[int, ...]
+
+
 class SteppingSession:
     """Windowed, actuated execution of one mapping run on one chip.
 
@@ -193,19 +211,23 @@ class SteppingSession:
             for w in range(len(self._bounds[s]) - 1)
         ]
 
-        # Per-segment activity index: each core's edge instants.
+        # Activity index of each distinct segment object: each core's
+        # edge instants.
         port_to_core = {port: i for i, port in enumerate(chip.core_ports)}
-        self._core_edges: list[dict[int, np.ndarray]] = [
-            {
-                port_to_core[train.port]: np.sort(train.times)
-                for train in segment.trains
-            }
-            for segment in self.batch.segments
-        ]
+        self._core_edges: dict[int, dict[int, np.ndarray]] = {}
+        for segment in self.batch.segments:
+            if id(segment) not in self._core_edges:
+                self._core_edges[id(segment)] = {
+                    port_to_core[train.port]: np.sort(train.times)
+                    for train in segment.trains
+                }
 
         # Each distinct segment's core-node deviation block, solved on
         # first use and keyed by the segment object's identity.
         self._blocks: dict[int, np.ndarray] = {}
+        # Each (segment object, window)'s bias-independent readings,
+        # read on first use and kept across rewinds.
+        self._readings: dict[tuple[int, int], _WindowReading] = {}
         self._reset_loop_state()
 
     # -- loop state -----------------------------------------------------
@@ -296,6 +318,56 @@ class SteppingSession:
             )
         return outcome.value
 
+    def _window_volts(self, seg: int, win: int, core: int) -> np.ndarray:
+        """Nominal-supply volts of *core* over window *win* of segment
+        *seg*."""
+        lo, hi = int(self._bounds[seg][win]), int(self._bounds[seg][win + 1])
+        node = self._core_nodes[core]
+        return self.batch.dc_levels[node] + self._segment_rows(seg)[core, lo:hi]
+
+    def _read_window(self, seg: int, win: int) -> _WindowReading:
+        """The bias-independent readings of window *win* of segment
+        *seg*.  :meth:`step` reads each (segment object, window) once,
+        so a synchronized run's segments share them and a rewind
+        re-reads nothing."""
+        lo, hi = int(self._bounds[seg][win]), int(self._bounds[seg][win + 1])
+        times = self.batch.segments[seg].times
+        t_start = float(times[lo])
+        t_end = float(times[hi - 1])
+        v_min: list[float] = []
+        v_mean: list[float] = []
+        v_max: list[float] = []
+        for core in range(self.chip.n_cores):
+            volts = self._window_volts(seg, win, core)
+            v_min.append(float(volts.min()))
+            v_max.append(float(volts.max()))
+            v_mean.append(float(volts.mean()))
+
+        active = []
+        edges_by_core = self._core_edges[id(self.batch.segments[seg])]
+        for core, program in enumerate(self.batch.mapping):
+            if program is None:
+                continue
+            if program.is_steady:
+                active.append(core)
+                continue
+            edges = edges_by_core.get(core)
+            if edges is None:
+                continue
+            first = int(np.searchsorted(edges, t_start, side="left"))
+            if first < edges.size and edges[first] <= t_end:
+                active.append(core)
+
+        return _WindowReading(
+            t_start=t_start,
+            t_end=t_end,
+            n_samples=hi - lo,
+            v_min=tuple(v_min),
+            v_mean=tuple(v_mean),
+            v_max=tuple(v_max),
+            active_cores=tuple(active),
+        )
+
     # -- the loop -------------------------------------------------------
     def step(self, actuation: Actuation | None = None) -> WindowObservation:
         """Apply *actuation* (if any), step the next window, fold it
@@ -310,11 +382,11 @@ class SteppingSession:
             self.telemetry.increment("control.actuations")
 
         seg, win = self._schedule[self._cursor]
-        lo, hi = int(self._bounds[seg][win]), int(self._bounds[seg][win + 1])
-        rows = self._segment_rows(seg)[:, lo:hi]
         segment = self.batch.segments[seg]
-        times = segment.times
-        dc_levels = self.batch.dc_levels
+        key = (id(segment), win)
+        reading = self._readings.get(key)
+        if reading is None:
+            reading = self._readings[key] = self._read_window(seg, win)
         chip = self.chip
         bias = self._service.bias
         offset = (bias - 1.0) * chip.vnom
@@ -324,65 +396,51 @@ class SteppingSession:
         v_max: list[float] = []
         worst = np.inf
         droop_events = 0
-        t_start = float(times[lo])
-        t_end = float(times[hi - 1])
         for core in range(chip.n_cores):
-            node = self._core_nodes[core]
-            volts = dc_levels[node] + rows[core]
             # Sticky accumulation on nominal-supply volts: min-of-window
             # minima equals the monolithic segment minimum bit for bit,
             # which is what makes result() ≡ ChipRunner.execute().
             state = self._sticky[core]
-            raw_min = float(volts.min())
-            raw_max = float(volts.max())
+            raw_min = reading.v_min[core]
+            raw_max = reading.v_max[core]
             state["v_min"] = min(state["v_min"], raw_min)
             state["v_max"] = max(state["v_max"], raw_max)
             state["coherent"] = max(state["coherent"], segment.coherent[core])
 
-            observed = volts + offset if offset else volts
             v_min.append(raw_min + offset)
             v_max.append(raw_max + offset)
-            v_mean.append(float(volts.mean()) + offset)
+            v_mean.append(reading.v_mean[core] + offset)
             ssn = (
                 chip.skitters[core].config.ssn_gain * segment.coherent[core]
                 if self.options.include_ssn
                 else 0.0
             )
             worst = min(worst, raw_min + offset - ssn)
-            below = observed < self.droop_threshold_v
-            if below.any():
+            # Rounded addition is monotonic, so the offset window's
+            # minimum is raw_min + offset: no sample falls below the
+            # threshold unless that one does.
+            if raw_min + offset < self.droop_threshold_v:
+                volts = self._window_volts(seg, win, core)
+                observed = volts + offset if offset else volts
+                below = observed < self.droop_threshold_v
                 droop_events += int(below[0]) + int(
                     np.count_nonzero(below[1:] & ~below[:-1])
                 )
-
-        active = []
-        for core, program in enumerate(self.batch.mapping):
-            if program is None:
-                continue
-            if program.is_steady:
-                active.append(core)
-                continue
-            edges = self._core_edges[seg].get(core)
-            if edges is None:
-                continue
-            first = int(np.searchsorted(edges, t_start, side="left"))
-            if first < edges.size and edges[first] <= t_end:
-                active.append(core)
 
         observation = WindowObservation(
             index=self._cursor,
             segment=seg,
             window=win,
-            t_start=t_start,
-            t_end=t_end,
-            n_samples=hi - lo,
+            t_start=reading.t_start,
+            t_end=reading.t_end,
+            n_samples=reading.n_samples,
             supply_bias=bias,
             v_min=tuple(v_min),
             v_mean=tuple(v_mean),
             v_max=tuple(v_max),
             worst_vmin=float(worst),
-            active_cores=tuple(active),
-            utilization=len(active) / chip.n_cores,
+            active_cores=reading.active_cores,
+            utilization=len(reading.active_cores) / chip.n_cores,
             droop_events=droop_events,
             coherent=tuple(segment.coherent),
         )

@@ -91,8 +91,11 @@ class ResponseLibrary:
 
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        for port in self.ports:
-            responses = self.modal.step_response(port, self.nodes, self.grid)
+        # One phase matrix on the grid serves every port.
+        all_responses = self.modal.step_responses(
+            self.ports, self.nodes, self.grid
+        )
+        for port, responses in zip(self.ports, all_responses):
             for row, node in enumerate(self.nodes):
                 step = responses[row]
                 ramp = self._smooth(step)

@@ -247,21 +247,33 @@ class ModalSystem:
         (response is causal).  The instant resistive feedthrough is
         included for t >= 0.
         """
+        return self.step_responses([input_name], nodes, times)[0]
+
+    def step_responses(
+        self, input_names: list[str], nodes: list[str], times: np.ndarray
+    ) -> list[np.ndarray]:
+        """:meth:`step_response` for each of *input_names*, in order.
+
+        The modal phase matrix ``exp(λ·t)`` depends only on *times*, so
+        it is built once and each input costs one matrix product."""
         sys = self.system
-        j = sys.input_column(input_name)
+        columns = [sys.input_column(name) for name in input_names]
         rows = sys.output_rows(nodes)
         times = np.asarray(times, dtype=float)
-
-        x_ss = np.linalg.solve(sys.a, -sys.b[:, j])
-        coeff = self._left @ (-x_ss)  # modal coordinates of (x0 - x_ss)
-        modes = (sys.pv[rows] @ self._right) * coeff[None, :]
-        y_ss = sys.pv[rows] @ x_ss + sys.qv[rows, j]
-
-        clipped = np.where(times < 0, 0.0, times)
+        negative = times < 0
+        clipped = np.where(negative, 0.0, times)
         phases = np.exp(np.outer(self.eigenvalues, clipped))
-        response = y_ss[:, None] + np.real(modes @ phases)
-        response[:, times < 0] = 0.0
-        return response
+        observed = sys.pv[rows] @ self._right
+        responses = []
+        for j in columns:
+            x_ss = np.linalg.solve(sys.a, -sys.b[:, j])
+            coeff = self._left @ (-x_ss)  # modal coordinates of (x0 - x_ss)
+            modes = observed * coeff[None, :]
+            y_ss = sys.pv[rows] @ x_ss + sys.qv[rows, j]
+            response = y_ss[:, None] + np.real(modes @ phases)
+            response[:, negative] = 0.0
+            responses.append(response)
+        return responses
 
     def frequency_response(
         self, input_name: str, nodes: list[str], freqs_hz: np.ndarray

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.control.study import results_identical
 from repro.engine import SimulationSession
 from repro.engine.cache import ResultCache
-from repro.engine.stepping import Actuation, SteppingSession
+from repro.engine.stepping import Actuation, SteppingSession, WindowObservation
 from repro.errors import ConfigError, ControlError
 from repro.machine.runner import ChipRunner
-from repro.machine.system import VOLTAGE_STEP
+from repro.machine.system import VOLTAGE_STEP, ServiceElement
 from repro.pdn.kernels import CompiledChipKernel
+
+from .conftest import control_program
 
 
 def monolithic(chip, mapping, options):
@@ -146,3 +150,160 @@ class TestActuation:
         )
         with pytest.raises(ConfigError):
             stepping.step(Actuation(bias_steps=-100))
+
+
+#: Bias schedules (whole 0.5 % steps per window; ``None`` = no
+#: actuation) that move every window of both test mappings across the
+#: droop threshold and back: their window minima sit 0.5-2.6 steps
+#: above it at the nominal supply.
+BIAS_SCHEDULES = (
+    (0, -1, -2, -3, -2, 0, -3, -1),
+    (-3, 0, -1, -3, -1, -2, 0, -3),
+    (None,) * 8,
+)
+
+
+def reread_observations(stepping, schedule):
+    """A copy of the per-step loop that re-read every window from the
+    solved block at each step, run over *schedule* on *stepping*'s
+    schedule, batch and solved blocks."""
+    chip = stepping.chip
+    service = ServiceElement(chip)
+    port_to_core = {port: i for i, port in enumerate(chip.core_ports)}
+    observations = []
+    for index, (seg, win) in enumerate(stepping._schedule):
+        if schedule[index] is not None:
+            service.set_bias_steps(schedule[index])
+        lo = int(stepping._bounds[seg][win])
+        hi = int(stepping._bounds[seg][win + 1])
+        rows = stepping._segment_rows(seg)[:, lo:hi]
+        segment = stepping.batch.segments[seg]
+        times = segment.times
+        bias = service.bias
+        offset = (bias - 1.0) * chip.vnom
+        v_min, v_mean, v_max = [], [], []
+        worst = np.inf
+        droop_events = 0
+        t_start = float(times[lo])
+        t_end = float(times[hi - 1])
+        for core in range(chip.n_cores):
+            node = chip.core_nodes[core]
+            volts = stepping.batch.dc_levels[node] + rows[core]
+            raw_min = float(volts.min())
+            raw_max = float(volts.max())
+            observed = volts + offset if offset else volts
+            v_min.append(raw_min + offset)
+            v_max.append(raw_max + offset)
+            v_mean.append(float(volts.mean()) + offset)
+            ssn = (
+                chip.skitters[core].config.ssn_gain * segment.coherent[core]
+                if stepping.options.include_ssn
+                else 0.0
+            )
+            worst = min(worst, raw_min + offset - ssn)
+            below = observed < stepping.droop_threshold_v
+            if below.any():
+                droop_events += int(below[0]) + int(
+                    np.count_nonzero(below[1:] & ~below[:-1])
+                )
+        core_edges = {
+            port_to_core[train.port]: np.sort(train.times)
+            for train in segment.trains
+        }
+        active = []
+        for core, program in enumerate(stepping.batch.mapping):
+            if program is None:
+                continue
+            if program.is_steady:
+                active.append(core)
+                continue
+            edges = core_edges.get(core)
+            if edges is None:
+                continue
+            first = int(np.searchsorted(edges, t_start, side="left"))
+            if first < edges.size and edges[first] <= t_end:
+                active.append(core)
+        observations.append(
+            WindowObservation(
+                index=index,
+                segment=seg,
+                window=win,
+                t_start=t_start,
+                t_end=t_end,
+                n_samples=hi - lo,
+                supply_bias=bias,
+                v_min=tuple(v_min),
+                v_mean=tuple(v_mean),
+                v_max=tuple(v_max),
+                worst_vmin=float(worst),
+                active_cores=tuple(active),
+                utilization=len(active) / chip.n_cores,
+                droop_events=droop_events,
+                coherent=tuple(segment.coherent),
+            )
+        )
+    return observations
+
+
+@pytest.fixture(params=["loop_mapping", "phase_randomized"])
+def window_mapping(request, loop_mapping):
+    if request.param == "loop_mapping":
+        return loop_mapping
+    return [dataclasses.replace(control_program(), sync=None)] * 6
+
+
+class TestWindowReadings:
+    """Each window's bias-independent readings are read once; a step
+    applies only the bias offset, the SSN deepening, the droop gate
+    and the sticky fold."""
+
+    def test_observations_equal_a_per_step_reread(
+        self, chip, window_mapping, loop_options
+    ):
+        stepping = SteppingSession(
+            chip, window_mapping, loop_options, windows_per_segment=4
+        )
+        assert stepping.n_windows == 8
+        droop_counts = []
+        for schedule in BIAS_SCHEDULES:
+            stepping.rewind()
+            emitted = [
+                stepping.step(
+                    None if steps is None else Actuation(bias_steps=steps)
+                )
+                for steps in schedule
+            ]
+            expected = reread_observations(stepping, schedule)
+            assert emitted == expected
+            droop_counts += [o.droop_events for o in expected]
+        # The schedules cross the threshold both ways.
+        assert any(droop_counts) and not all(droop_counts)
+
+    def test_rewinds_read_each_window_once(
+        self, chip, window_mapping, loop_options, monkeypatch
+    ):
+        reads = []
+        real = SteppingSession._read_window
+
+        def spy(self, seg, win):
+            reads.append((id(self.batch.segments[seg]), win))
+            return real(self, seg, win)
+
+        monkeypatch.setattr(SteppingSession, "_read_window", spy)
+        stepping = SteppingSession(
+            chip, window_mapping, loop_options, windows_per_segment=4
+        )
+        for schedule in BIAS_SCHEDULES:
+            stepping.rewind()
+            for steps in schedule:
+                stepping.step(
+                    None if steps is None else Actuation(bias_steps=steps)
+                )
+        distinct = {
+            (id(stepping.batch.segments[seg]), win)
+            for seg, win in stepping._schedule
+        }
+        assert sorted(reads) == sorted(distinct)
+        # A synchronized run lists one segment object for every window.
+        segment_objects = {id(segment) for segment in stepping.batch.segments}
+        assert len(reads) == 4 * len(segment_objects)

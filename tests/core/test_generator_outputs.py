@@ -253,6 +253,50 @@ class TestGeneratorCache:
         assert calls == []
 
 
+class TestTargetOnFirstUse:
+    """The reference target is built the first time the generator's
+    target or an output is read, not when the generator is made."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch, target):
+        """Targets the spied ``default_target`` built (cheap subsets
+        of the reference target)."""
+        built = []
+
+        def default_target():
+            built.append(subset_target(target))
+            return built[-1]
+
+        monkeypatch.setattr(generator_module, "default_target", default_target)
+        return built
+
+    def test_construction_builds_no_target(self, built, monkeypatch):
+        generator = StressmarkGenerator(epi_repetitions=60, ipc_keep=150)
+        assert built == []
+        monkeypatch.setattr(cache_module, "_GLOBAL", ResultCache())
+        profile = generator.epi_profile
+        assert len(built) == 1
+        assert generator.target is built[0]
+        assert all(
+            entry.instruction is built[0].isa[entry.mnemonic]
+            for entry in profile.entries
+        )
+        generator.max_power_result
+        assert len(built) == 1
+
+    def test_an_explicit_target_is_used_as_given(
+        self, built, target, monkeypatch
+    ):
+        small = subset_target(target)
+        generator = StressmarkGenerator(
+            target=small, epi_repetitions=60, ipc_keep=150
+        )
+        monkeypatch.setattr(cache_module, "_GLOBAL", ResultCache())
+        generator.epi_profile
+        assert generator.target is small
+        assert built == []
+
+
 class TestMeasurementRendersNothing:
     @pytest.fixture()
     def no_rendering(self, monkeypatch):

@@ -40,9 +40,13 @@ class TestSingleRuns:
 
     def test_solver_call_accounting(self, session, telemetry):
         session.run([didt()] * 6)
-        # segments=2 × 6 observed cores.
-        assert telemetry.counter("engine.solver_calls") == 12
+        # A synchronized run solves one segment for both windows:
+        # 1 segment × 6 observed cores.
+        assert telemetry.counter("engine.solver_calls") == 6
         assert telemetry.timer("engine.run_seconds") > 0.0
+        # A phase-randomized run solves each of its segments=2 windows.
+        session.run([didt(sync=False)] * 6)
+        assert telemetry.counter("engine.solver_calls") == 6 + 12
 
     def test_results_match_the_raw_runner(self, session):
         mapping = [didt()] * 3 + [idle_program(13.5)] * 3

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.chips import build_chip, get_family
 from repro.errors import SolverError
 from repro.pdn.netlist import Netlist
 from repro.pdn.response import ResponseLibrary
@@ -85,3 +86,69 @@ class TestLookups:
             library.step("load_a", "nope", np.array([0.0]))
         with pytest.raises(SolverError):
             library.dc("nope", "a")
+
+
+def per_port_step_response(modal, port, nodes, times):
+    """A copy of the single-input step response the library once built
+    for each port: its own phase matrix per call."""
+    sys = modal.system
+    j = sys.input_column(port)
+    rows = sys.output_rows(nodes)
+    times = np.asarray(times, dtype=float)
+    x_ss = np.linalg.solve(sys.a, -sys.b[:, j])
+    coeff = modal._left @ (-x_ss)
+    modes = (sys.pv[rows] @ modal._right) * coeff[None, :]
+    y_ss = sys.pv[rows] @ x_ss + sys.qv[rows, j]
+    clipped = np.where(times < 0, 0.0, times)
+    phases = np.exp(np.outer(modal.eigenvalues, clipped))
+    response = y_ss[:, None] + np.real(modes @ phases)
+    response[:, times < 0] = 0.0
+    return response
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestOnePhaseMatrix:
+    """The library evaluates every port against one phase matrix and
+    its tables stay bit-identical to a per-port build."""
+
+    @pytest.mark.parametrize("member", [None, "cores4"])
+    def test_tables_match_the_per_port_build(self, chip, member):
+        if member is not None:
+            chip = build_chip(get_family("quick").member(member))
+        library = chip.response_library
+        for port in library.ports:
+            responses = per_port_step_response(
+                library.modal, port, library.nodes, library.grid
+            )
+            for row, node in enumerate(library.nodes):
+                step = responses[row]
+                key = (port, node)
+                assert np.array_equal(bits(library._step[key]), bits(step))
+                assert np.array_equal(
+                    bits(library._ramp[key]), bits(library._smooth(step))
+                )
+                assert bits(library._dc[key]) == bits(step[-1])
+
+    def test_phase_matrix_built_once_per_library(self, chip, monkeypatch):
+        """``exp(outer(λ, t))`` is the phase matrix; its outer product
+        is built once for all six ports."""
+        outers = []
+        real_outer = np.outer
+
+        def outer(a, b, *args, **kwargs):
+            outers.append(a is chip.modal.eigenvalues)
+            return real_outer(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "outer", outer)
+        library = ResponseLibrary(
+            chip.netlist,
+            ports=chip.core_ports,
+            nodes=chip.core_nodes,
+            rise_time=chip.config.core.ramp_time,
+            modal=chip.modal,
+        )
+        assert len(library.ports) == 6
+        assert outers == [True]

@@ -9,13 +9,17 @@ backpressure assertions deterministic.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 
 import pytest
 
+from repro.core import generator as generator_module
 from repro.engine.cache import ResultCache
+from repro.experiments import common
 from repro.faults import FaultPlan
+from repro.mbench import target as target_module
 from repro.obs import Telemetry
 from repro.serve import SimulationService
 
@@ -28,6 +32,37 @@ def _spin_until(predicate, timeout=10.0, what="condition"):
         if time.monotonic() > deadline:  # pragma: no cover - test bug
             raise AssertionError(f"timed out waiting for {what}")
         time.sleep(0.002)
+
+
+def test_start_builds_no_stressmark_target(monkeypatch, telemetry):
+    """``serve`` reads only the context's chip and options, so starting
+    a service over ``quick_context()`` builds no ISA and no target."""
+    built = []
+    monkeypatch.setattr(
+        generator_module, "default_target", lambda: built.append("target")
+    )
+    monkeypatch.setattr(
+        target_module,
+        "build_zmainframe_isa",
+        lambda *args, **kwargs: built.append("isa"),
+    )
+    # A fresh generator memo: a generator an earlier test made and read
+    # must not hide a build here.
+    monkeypatch.setattr(
+        common,
+        "_shared_generator",
+        functools.lru_cache(maxsize=4)(common._shared_generator.__wrapped__),
+    )
+    context = common.quick_context()
+    service = SimulationService(
+        context.chip,
+        context.options,
+        cache=ResultCache(cache_dir=None, telemetry=telemetry),
+        jobs=1,
+        telemetry=telemetry,
+    ).start()
+    service.stop()
+    assert built == []
 
 
 class TestTiers:

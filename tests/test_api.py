@@ -59,13 +59,20 @@ class TestPublicApi:
         import repro.workloads
 
     def test_cli_import_leaves_heavy_dependencies_unloaded(self):
-        """scipy backs only the MNA test oracle and networkx nothing, so
-        starting the CLI must load neither."""
+        """scipy backs only the MNA test oracle and networkx nothing, and
+        the process pool is imported where ``--jobs N`` starts it, so
+        starting the CLI must load none of them."""
         src = Path(repro.__file__).resolve().parents[1]
+        heavy = {
+            "scipy",
+            "networkx",
+            "multiprocessing",
+            "concurrent.futures.process",
+        }
         script = (
             "import sys\n"
             "import repro.cli\n"
-            "print(sorted({'scipy', 'networkx'} & set(sys.modules)))\n"
+            f"print(sorted({heavy!r} & set(sys.modules)))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script],
