@@ -16,7 +16,7 @@ import numpy as np
 from repro.machine.chip import reference_chip
 from repro.machine.runner import ChipRunner, RunOptions, WAVEFORM_EXTRA_NODES
 from repro.machine.workload import CurrentProgram, SyncSpec
-from repro.pdn.kernels import KERNEL_TOLERANCE_V, compile_kernel
+from repro.pdn.kernels import KERNEL_TOLERANCE_V
 from repro.pdn.mna import simulate_transient
 from repro.pdn.state_space import ModalSystem, build_state_space
 from repro.pdn.superposition import assemble_voltage
@@ -107,7 +107,7 @@ def _kernel_cross_validate():
     t_reference = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    compile_kernel(chip.response_library)
+    chip.compiled_kernel
     t_compile = time.perf_counter() - t0
     t0 = time.perf_counter()
     kernel_runs = [runner.execute(batch) for batch in batches]

@@ -47,17 +47,18 @@ suite and the CI fault-injection job prove all of the above.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import replace
 from typing import Sequence
 
 from ..errors import ConfigError, ExecutionError
-from ..machine.chip import Chip, ChipConfig
+from ..machine.chip import Chip
 from ..machine.runner import ChipRunner, RunOptions, RunResult
 from ..machine.workload import CurrentProgram, is_deterministic_mapping
 from ..obs import Telemetry, get_telemetry
 from .cache import ResultCache, global_cache
 from .executor import Executor, make_executor
-from .fingerprint import canonical, chip_fingerprint, run_fingerprint
+from .fingerprint import chip_fingerprint, run_fingerprint
 from .resilience import RetryPolicy, RunFailure
 
 __all__ = ["SimulationSession"]
@@ -271,11 +272,10 @@ class SimulationSession:
         # compile and a forked pool inherits the compiled kernel.
         with telemetry.time("engine.kernel.compile_seconds"):
             self.chip.compiled_kernel
-        run_fn = _RunItem(self.chip.config, self.chip.chip_id, self.options)
-        # Pre-seed the worker-chip memo so in-process execution (the
-        # serial executor, or a degraded pool) reuses this session's
-        # already-built chip instead of re-deriving the modal model.
-        _WORKER_CHIPS.setdefault(run_fn.chip_key, self.chip)
+        run_fn = _RunItem(self.chip, self._chip_fp, self.options)
+        # A forked pool worker finds this chip here instead of
+        # rebuilding it; the memo is weak, so it pins nothing.
+        _WORKER_CHIPS.setdefault(self._chip_fp, self.chip)
 
         def flush(index: int, outcome) -> None:
             # Fires per run as its chunk completes, so the disk-cache
@@ -359,35 +359,48 @@ class SimulationSession:
 
 # -- worker side ---------------------------------------------------------
 
-#: Per-worker-process chip memo: rebuilding the modal decomposition is
-#: the expensive part of worker startup, so keep chips across batches.
-_WORKER_CHIPS: dict[str, Chip] = {}
+#: Built chips a pool worker can run on, by identity, held weakly.
+#: Sessions register theirs before dispatch, so a forked worker inherits
+#: the parent's chip, modal model and kernel.  Nothing here keeps a chip
+#: alive: in-process runs use the session's own chip, and a chip its
+#: caller drops (an evicted serve chip) is freed with its kernel.
+_WORKER_CHIPS: "weakref.WeakValueDictionary[str, Chip]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 class _RunItem:
-    """Picklable per-run callable: ``(fingerprint, mapping, tag)`` →
-    :class:`RunResult`, rebuilding the chip at most once per worker
-    process (memoized by chip identity, computed without constructing
-    a probe chip)."""
+    """Per-run callable: ``(fingerprint, mapping, tag)`` →
+    :class:`RunResult`.  In-process it runs on the session's chip.  It
+    pickles without the chip: a pool worker takes the chip it inherited
+    (:data:`_WORKER_CHIPS`), else builds one and keeps it for the rest
+    of its chunk."""
 
-    def __init__(self, config: ChipConfig, chip_id: int, options: RunOptions):
-        self.config = config
-        self.chip_id = chip_id
+    def __init__(self, chip: Chip, chip_key: str, options: RunOptions):
+        self.chip: Chip | None = chip
+        self.config = chip.config
+        self.chip_id = chip.chip_id
+        self.chip_key = chip_key
         self.options = options
-        self.chip_key = canonical((Chip.__name__, config, chip_id))
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "chip": None}
 
     def __call__(self, item: tuple[str, list, object]) -> RunResult:
         _, mapping, tag = item
-        chip = _WORKER_CHIPS.get(self.chip_key)
         # Recorded into the *ambient* telemetry: inside a pool worker
         # that is the chunk's capture sink, whose snapshot merges back
         # into the session telemetry — the worker-side metrics that
         # used to vanish at the ProcessPoolExecutor boundary.
         telemetry = get_telemetry()
+        chip = self.chip
         if chip is None:
-            with telemetry.time("engine.worker.chip_build_seconds"):
-                chip = Chip(self.config, self.chip_id)
-            _WORKER_CHIPS[self.chip_key] = chip
+            chip = _WORKER_CHIPS.get(self.chip_key)
+            if chip is None:
+                with telemetry.time("engine.worker.chip_build_seconds"):
+                    chip = Chip(self.config, self.chip_id)
+                _WORKER_CHIPS[self.chip_key] = chip
+            self.chip = chip
         telemetry.increment("engine.solver.invocations")
         start = time.perf_counter()
         result = ChipRunner(chip).run(mapping, self.options, tag)

@@ -171,8 +171,9 @@ class Chip:
 
     @cached_property
     def compiled_kernel(self) -> CompiledChipKernel:
-        """The chip's solve kernel (process-memoized by content
-        fingerprint, so identical chips share one compiled artifact).
+        """The chip's solve kernel (memoized weakly by content
+        fingerprint, so identical live chips share one compiled
+        artifact, and the kernel lives as long as a chip holds it).
         Raises :class:`~repro.errors.SolverError`, naming the failed
         check, if the chip's spectrum does not compile — there is no
         other solve path to fall back to."""

@@ -50,18 +50,23 @@ one chunk at origin 0 — the plain factorization, phases built from the
 grid's provenance.
 
 Kernels are memoized per chip fingerprint (a content digest of the
-response library they compile) via :func:`compile_kernel`, so a warm
-process — the serve tier, a pool worker — builds each chip's kernel
-once.  Within a kernel, evaluation results are memoized too: one
-port's contribution to the observed nodes is a pure function of
-(sample grid, merged edge train, port), so those blocks are cached by
-content digest and a synchronized sweep — many runs sharing grids and
-edge instants — pays the tiered evaluation once per distinct block.
+response library they compile) via :func:`compile_kernel`, held
+weakly: identical live chips share one kernel, and a kernel dies with
+the last chip that holds it.  Within a kernel, evaluation results are
+memoized too: one port's contribution to the observed nodes is a pure
+function of (sample grid, merged edge train, port), so those blocks —
+and the phase matrices and tier bookkeeping they are built from — live
+in one least-recently-used memo keyed by content digest and bounded by
+the bytes it holds (:data:`_MEMO_BYTES`).  A synchronized sweep — many
+runs sharing grids and edge instants — pays the tiered evaluation once
+per distinct block.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,17 +111,17 @@ _FAST_EFOLDS = 16.0
 #: phase or decay factor leaves ``e^{±_EXP_BUDGET}``.
 _EXP_BUDGET = 500.0
 
-#: Capacity of the per-kernel segment caches (phase matrices and tier
-#: bookkeeping, memoized by sample-grid/edge-train content).  A
-#: synchronized sweep reuses a handful of grids across its whole run
-#: set; the cap only bounds pathological unsynchronized churn.
-_SEGMENT_CACHE_ENTRIES = 64
-
-#: Capacity of the per-kernel contribution cache: fully evaluated
-#: per-(sample grid, edge train, port) node-deviation blocks.  Entries
-#: are ``nodes × samples`` float arrays (~200 kB at experiment sizes),
-#: so the cap bounds resident memory at a few tens of MB.
-_CONTRIB_CACHE_ENTRIES = 128
+#: Byte budget of each kernel's solve memo: phase matrices, tier
+#: bookkeeping and contribution blocks share it, least recently used
+#: first out.  Reuse is short-range: over the 178 ``solve_batch`` calls
+#: of a cold quick ``run all``, 424 of 495 block hits come within 4
+#: calls of the block's last use and 4 come later than 32.  Measured on
+#: that run (blocks / tiers / phase matrices rebuilt, peak RSS): 16 MiB
+#: rebuilds 875 / 654 / 122 at 90 MB, 24 MiB 779 / 558 / 122 at 101 MB,
+#: 32 MiB 773 / 557 / 121 at 110 MB; the old entry-count caps rebuilt
+#: 773 / 557 / 116 at 164 MB.  24 MiB keeps block and tier rebuilds
+#: within 1 % of that.
+_MEMO_BYTES = 24 * 2**20
 
 
 def _digest(array: np.ndarray) -> bytes:
@@ -124,6 +129,40 @@ def _digest(array: np.ndarray) -> bytes:
     process-seeded and only 64 bits; since these keys gate *numerical
     results*, use a real digest so collisions are out of the picture."""
     return hashlib.blake2b(array.tobytes(), digest_size=16).digest()
+
+
+class _SolveMemo:
+    """A kernel's memo of solve intermediates, least recently used
+    first out, bounded by the bytes of the arrays it holds.
+
+    A hit moves the entry to the recent end.  An insert evicts from the
+    old end until the held bytes fit the budget, but always keeps the
+    newest entry, even one larger than the whole budget, so the solve
+    that built it still reads it back.  Keys are content digests tagged
+    by kind (``"phase"``, ``"tier"``, ``"block"``).  Not thread-safe:
+    a kernel is used from one thread at a time."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple):
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return entry[0]
+
+    def put(self, key: tuple, value: object, nbytes: int) -> None:
+        self._entries[key] = (value, nbytes)
+        self.nbytes += nbytes
+        while self.nbytes > self.budget and len(self._entries) > 1:
+            _, (_, freed) = self._entries.popitem(last=False)
+            self.nbytes -= freed
 
 
 @dataclass
@@ -175,8 +214,12 @@ def library_fingerprint(library: ResponseLibrary) -> str:
     return digest.hexdigest()
 
 
-#: Process-wide kernel memo, keyed by chip/library fingerprint.
-_KERNEL_CACHE: dict[str, "CompiledChipKernel"] = {}
+#: Process-wide kernel memo, keyed by chip/library fingerprint and held
+#: weakly: a chip holds its kernel (``Chip.compiled_kernel``), so an
+#: evicted or discarded chip frees its kernel and the kernel's memo.
+_KERNEL_CACHE: "weakref.WeakValueDictionary[str, CompiledChipKernel]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 def compile_kernel(
@@ -195,7 +238,8 @@ def compile_kernel(
 
 
 def clear_kernel_cache() -> None:
-    """Drop every memoized kernel (tests, memory pressure)."""
+    """Forget every memoized kernel, so the next compile builds a new
+    one (tests); chips keep the kernels they hold."""
     _KERNEL_CACHE.clear()
 
 
@@ -222,6 +266,17 @@ class _TierIndex:
     win_frac: np.ndarray | None      # window pairs: x − knot·step
     win_active: np.ndarray | None    # edges with a non-empty range
     win_lengths: np.ndarray | None   # range length of each active edge
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the distinct arrays held (on a one-chunk grid
+        ``slow_w``/``slow_h`` are ``ks_w``/``ks_h`` themselves)."""
+        arrays = {
+            id(value): value.nbytes
+            for value in vars(self).values()
+            if isinstance(value, np.ndarray)
+        }
+        return sum(arrays.values())
 
 
 def _expand_ranges(
@@ -300,9 +355,7 @@ class CompiledChipKernel:
         self._build_window_tables(grid)
         self._build_modal_coefficients(library)
         self._self_check()
-        self._phase_cache: dict[bytes, np.ndarray] = {}
-        self._tier_cache: dict[tuple[bytes, bytes], _TierIndex] = {}
-        self._contrib_cache: dict[tuple, np.ndarray] = {}
+        self._memo = _SolveMemo(_MEMO_BYTES)
 
     # -- compilation ----------------------------------------------------
     def _split_spectrum(self, eigenvalues: np.ndarray) -> None:
@@ -479,16 +532,15 @@ class CompiledChipKernel:
             blocks.append(probe_e[grid.probe_mask])
         return np.concatenate(blocks)[grid.first_index]
 
-    def _phases_for(self, grid: SampleGrid, key: bytes) -> np.ndarray:
+    def _phases_for(self, grid: SampleGrid, times_key: bytes) -> np.ndarray:
         """Content-memoized phase matrix: synchronized sweeps reuse a
         handful of distinct sample grids across thousands of (run,
         segment) pairs, so the build cost amortizes to nothing."""
-        phases = self._phase_cache.get(key)
+        key = ("phase", times_key)
+        phases = self._memo.get(key)
         if phases is None:
-            if len(self._phase_cache) >= _SEGMENT_CACHE_ENTRIES:
-                self._phase_cache.clear()
             phases = self._phase_matrix(grid)
-            self._phase_cache[key] = phases
+            self._memo.put(key, phases, phases.nbytes)
         return phases
 
     def _tiers_for(
@@ -500,13 +552,11 @@ class CompiledChipKernel:
         factors and the expanded window-tier (sample, elapsed-time)
         pairs.  Port-independent — every port whose train shares the
         same edge instants reuses it."""
-        key = (times_key, et_key)
-        tiers = self._tier_cache.get(key)
+        key = ("tier", times_key, et_key)
+        tiers = self._memo.get(key)
         if tiers is None:
-            if len(self._tier_cache) >= _SEGMENT_CACHE_ENTRIES:
-                self._tier_cache.clear()
             tiers = self._build_tiers(times, et)
-            self._tier_cache[key] = tiers
+            self._memo.put(key, tiers, tiers.nbytes)
         return tiers
 
     def _build_tiers(self, times: np.ndarray, et: np.ndarray) -> _TierIndex:
@@ -640,16 +690,16 @@ class CompiledChipKernel:
                 order = np.argsort(et, kind="stable")
                 et = np.ascontiguousarray(et[order], dtype=float)
                 deltas = np.ascontiguousarray(deltas[order], dtype=float)
-                key = (times_key, _digest(et), _digest(deltas), p, rows_key)
-                contrib = self._contrib_cache.get(key)
+                et_key = _digest(et)
+                key = ("block", times_key, et_key, _digest(deltas), p,
+                       rows_key)
+                contrib = self._memo.get(key)
                 if contrib is None:
-                    if len(self._contrib_cache) >= _CONTRIB_CACHE_ENTRIES:
-                        self._contrib_cache.clear()
                     contrib = self._port_contribution(
-                        grid, times, times_key, et, key[1], deltas, p, rows
+                        grid, times, times_key, et, et_key, deltas, p, rows
                     )
                     contrib.flags.writeable = False
-                    self._contrib_cache[key] = contrib
+                    self._memo.put(key, contrib, contrib.nbytes)
                 seg += contrib
         return results
 

@@ -1,8 +1,12 @@
 """Session tests: cached execution, batching, the one solve path,
 campaign-level reuse."""
 
+import pickle
+import weakref
+
 import pytest
 
+import repro.engine.session as session_module
 from repro.engine import ResultCache, SimulationSession
 from repro.errors import SolverError
 from repro.machine.chip import Chip
@@ -107,6 +111,60 @@ class TestOneSolvePath:
         assert telemetry.counter("engine.runs_executed") == len(self.MAPPINGS)
         histogram = telemetry.histogram("engine.run.seconds")
         assert histogram is not None and histogram.count == len(self.MAPPINGS)
+
+    def test_in_process_runs_use_the_sessions_own_chip(
+        self, chip, telemetry, monkeypatch
+    ):
+        """Each session runs on its own chip, even beside an identical
+        live one, and in-process execution builds no chip."""
+        twin = Chip(chip.config, chip.chip_id)
+        sessions = [
+            SimulationSession(
+                each,
+                RunOptions(segments=1, base_samples=256),
+                cache=ResultCache(telemetry=telemetry),
+                jobs=1,
+                telemetry=telemetry,
+            )
+            for each in (chip, twin)
+        ]
+        used = []
+        runner = session_module.ChipRunner
+
+        def spy(each):
+            used.append(each)
+            return runner(each)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("in-process execution built a chip")
+
+        monkeypatch.setattr(session_module, "ChipRunner", spy)
+        monkeypatch.setattr(session_module, "Chip", no_build)
+        for each in sessions:
+            each.run([didt()] * 6)
+        assert len(used) == 2
+        assert used[0] is chip and used[1] is twin
+
+    def test_pickled_run_item_leaves_the_chip_behind(
+        self, session, monkeypatch
+    ):
+        """A pool worker gets the run callable without the chip; with no
+        inherited chip it builds one and keeps it for its chunk."""
+        item = session_module._RunItem(
+            session.chip, session._chip_fp, session.options
+        )
+        clone = pickle.loads(pickle.dumps(item))
+        assert item.chip is session.chip and clone.chip is None
+        monkeypatch.setattr(
+            session_module, "_WORKER_CHIPS", weakref.WeakValueDictionary()
+        )
+        mapping = [didt()] * 6
+        result = clone(("fp", mapping, "a"))
+        built = clone.chip
+        assert built is not None and built is not session.chip
+        clone(("fp", [didt(i_high=28.0)] * 6, "b"))
+        assert clone.chip is built
+        assert result.p2p_by_core == item(("fp", mapping, "a")).p2p_by_core
 
     def test_compile_failure_raises(self, session, telemetry, monkeypatch):
         """A chip whose kernel does not compile fails the run with the

@@ -1,9 +1,12 @@
 """The compiled batched chip kernel: compilation, memoization,
 equivalence against the reference superposition, the miss path's bits
-against a reference copy of its arithmetic, and the contribution
-cache."""
+against a reference copy of its arithmetic, and the byte-bounded solve
+memo."""
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,8 +14,8 @@ import pytest
 from repro.errors import SolverError
 from repro.machine.runner import ChipRunner, RunOptions
 from repro.machine.workload import CurrentProgram
+from repro.pdn import kernels
 from repro.pdn.kernels import (
-    _CONTRIB_CACHE_ENTRIES,
     _EXP_BUDGET,
     KERNEL_TOLERANCE_V,
     CompiledChipKernel,
@@ -88,6 +91,16 @@ class TestCompilation:
         assert compile_kernel(library).fingerprint == library_fingerprint(
             library
         )
+
+    def test_kernels_are_held_weakly(self, library):
+        """Identical libraries share a live kernel; the memo alone keeps
+        none alive."""
+        kernel = compile_kernel(library, fingerprint="weakly-held")
+        assert compile_kernel(library, fingerprint="weakly-held") is kernel
+        ref = weakref.ref(kernel)
+        del kernel
+        gc.collect()
+        assert ref() is None
 
     def test_chip_compiled_kernel_property(self, chip):
         assert chip.compiled_kernel is chip.compiled_kernel
@@ -370,25 +383,147 @@ class TestErrors:
             )
 
 
+def memo_sizes(kernel) -> dict[str, list[int]]:
+    """Held bytes of each memo entry, by kind, oldest first."""
+    sizes: dict[str, list[int]] = {}
+    for key, (_, nbytes) in kernel._memo._entries.items():
+        sizes.setdefault(key[0], []).append(nbytes)
+    return sizes
+
+
+def count_solved_blocks(kernel, monkeypatch) -> list:
+    """Spy on the miss path: one list item per block *kernel* builds."""
+    solved = []
+    original = kernel._port_contribution
+
+    def spy(*args):
+        solved.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernel, "_port_contribution", spy)
+    return solved
+
+
 class TestContributionCache:
     def test_identical_stimuli_reuse_contributions(self, chip, library):
         kernel = compile_kernel(library, fingerprint="contrib-test-reuse")
         train = square_train(chip.core_ports[0])
         times = np.linspace(0.0, 10e-6, 512)
         first = kernel.evaluate([train], times)
-        entries = len(kernel._contrib_cache)
-        assert entries >= 1
+        entries = len(kernel._memo)
+        assert memo_sizes(kernel)["block"]
         second = kernel.evaluate([train], times)
-        assert len(kernel._contrib_cache) == entries  # pure replay
+        assert len(kernel._memo) == entries  # pure replay
         assert np.array_equal(first, second)
 
-    def test_cache_stays_bounded(self, chip, library):
-        kernel = compile_kernel(library, fingerprint="contrib-test-bound")
+    def test_cache_stays_bounded(self, chip, library, monkeypatch):
+        """After every evaluate over more distinct blocks than fit, the
+        held bytes stay within the budget plus the newest entry."""
+        budget = 64 * 1024
+        monkeypatch.setattr(kernels, "_MEMO_BYTES", budget)
+        kernel = CompiledChipKernel(library)
         times = np.linspace(0.0, 5e-6, 64)
         port = chip.core_ports[0]
-        for i in range(_CONTRIB_CACHE_ENTRIES + 8):
+        n_blocks = 2 * budget // (len(kernel.nodes) * times.size * 8)
+        for i in range(n_blocks):
             train = EdgeTrain(
                 port, np.array([0.0]), np.array([1.0 + 0.01 * i])
             )
             kernel.evaluate([train], times)
-        assert len(kernel._contrib_cache) <= _CONTRIB_CACHE_ENTRIES
+            memo = kernel._memo
+            newest = next(reversed(memo._entries.values()))[1]
+            assert memo.nbytes <= budget + newest
+            assert memo.nbytes == sum(
+                sum(sizes) for sizes in memo_sizes(kernel).values()
+            )
+        assert len(memo_sizes(kernel)["block"]) < n_blocks
+
+    def test_least_recently_used_block_goes_first(
+        self, chip, library, monkeypatch
+    ):
+        """A block read again between inserts survives; the older
+        unread one is evicted and rebuilt on its next read."""
+        times = np.linspace(0.0, 5e-6, 64)
+        port = chip.core_ports[0]
+        a, b, c, d = (
+            EdgeTrain(port, np.array([0.0, 1e-6]), np.array([1.0 + i, -1.0]))
+            for i in range(4)
+        )
+        probe = CompiledChipKernel(library)
+        probe.evaluate([a], times)
+        sizes = memo_sizes(probe)
+        monkeypatch.setattr(
+            kernels, "_MEMO_BYTES",
+            sizes["phase"][0] + sizes["tier"][0] + 3 * sizes["block"][0],
+        )
+        kernel = CompiledChipKernel(library)
+        solved = count_solved_blocks(kernel, monkeypatch)
+        for train in (a, b, c, a):
+            kernel.evaluate([train], times)
+        assert len(solved) == 3  # the second read of a is a hit
+        kernel.evaluate([d], times)  # full: evicts b, not a
+        for train in (a, c, d):
+            kernel.evaluate([train], times)
+        assert len(solved) == 4
+        kernel.evaluate([b], times)
+        assert len(solved) == 5
+
+    def test_phases_and_tiers_share_the_budget(
+        self, chip, library, monkeypatch
+    ):
+        """One budget covers every kind: with room for the phase matrix
+        and the block only, the tier bookkeeping is evicted."""
+        train = square_train(chip.core_ports[0])
+        times = np.linspace(0.0, 10e-6, 512)
+        probe = CompiledChipKernel(library)
+        probe.evaluate([train], times)
+        sizes = memo_sizes(probe)
+        assert set(sizes) == {"phase", "tier", "block"}
+        budget = sizes["phase"][0] + sizes["block"][0]
+        monkeypatch.setattr(kernels, "_MEMO_BYTES", budget)
+        kernel = CompiledChipKernel(library)
+        kernel.evaluate([train], times)
+        assert [key[0] for key in kernel._memo._entries] == ["phase", "block"]
+        assert kernel._memo.nbytes == budget
+
+    def test_entry_larger_than_the_budget_is_kept_alone(
+        self, chip, library, monkeypatch
+    ):
+        train = square_train(chip.core_ports[0])
+        times = np.linspace(0.0, 10e-6, 512)
+        expected = CompiledChipKernel(library).evaluate([train], times)
+        monkeypatch.setattr(kernels, "_MEMO_BYTES", 1)
+        kernel = CompiledChipKernel(library)
+        solved = count_solved_blocks(kernel, monkeypatch)
+        got = kernel.evaluate([train], times)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert list(memo_sizes(kernel)) == ["block"]
+        assert kernel._memo.nbytes == got.nbytes
+        again = kernel.evaluate([train], times)
+        assert len(solved) == 1  # the lone entry still answers
+        assert np.array_equal(again.view(np.int64), got.view(np.int64))
+
+    def test_batch_after_full_eviction_matches_a_fresh_kernel(
+        self, chip, library, monkeypatch
+    ):
+        batch = [
+            MISS_PATH_STIMULI[name](chip)[:2]
+            for name in sorted(MISS_PATH_STIMULI)
+        ]
+        fresh = CompiledChipKernel(library).solve_batch(batch)
+        monkeypatch.setattr(kernels, "_MEMO_BYTES", 1 << 20)
+        kernel = CompiledChipKernel(library)
+        first = kernel.solve_batch(batch)
+        held = set(kernel._memo._entries)
+        times = np.linspace(0.0, 30e-6, 2048)
+        for i in range(16):
+            kernel.evaluate(
+                [square_train(chip.core_ports[0], delta=1.0 + i)], times
+            )
+        assert not held & set(kernel._memo._entries)
+        again = kernel.solve_batch(batch)
+        for solved in (first, again):
+            for got, want in zip(solved, fresh):
+                assert np.array_equal(
+                    got.view(np.int64), want.view(np.int64)
+                )

@@ -11,13 +11,16 @@ service.
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import pytest
 
 from repro.chips import ChipSpec, get_family
 from repro.engine.cache import ResultCache
 from repro.errors import ConfigError
+from repro.machine.chip import Chip
 from repro.obs import Telemetry
 from repro.serve import SimulationService
 
@@ -179,6 +182,51 @@ class TestResidencyAndEviction:
             assert not any(
                 digest == cores4_digest for digest, _ in svc._sessions
             )
+        finally:
+            svc.stop()
+
+    def test_evicted_chips_free_their_kernels(
+        self, chip, cheap_options, telemetry, monkeypatch
+    ):
+        """The residency budget bounds memory: rotating small members
+        through one resident slot frees each evicted chip and its
+        kernel, identical live chips share one kernel, and in-process
+        execution runs on the built chip instead of building another."""
+        built = []  # class names: holding the chips would keep them alive
+        original_init = Chip.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Chip, "__init__", counting_init)
+        specs = [
+            ChipSpec(name=f"small/id{i}", n_cores=4, chip_id=i)
+            for i in (1, 2, 3)
+        ]
+        svc = family_service(
+            chip, cheap_options, telemetry, chips=specs,
+            max_resident_chips=1,
+        )
+        try:
+            refs = []
+            for spec in specs:
+                reply = svc.handle({**simulate_payload(), "chip": spec.name})
+                assert reply["ok"] and reply["tier"] == "executed"
+                member = svc.roster.resolve(spec.name).chip
+                refs.append((
+                    weakref.ref(member), weakref.ref(member.compiled_kernel)
+                ))
+            del member
+            assert len(built) == len(specs)  # one build each, no rerun
+            assert svc.roster.stats()["evictions"] == len(specs) - 1
+            gc.collect()
+            for chip_ref, kernel_ref in refs[:-1]:
+                assert chip_ref() is None
+                assert kernel_ref() is None
+            live = svc.roster.resolve(specs[-1].name).chip
+            assert refs[-1][0]() is live
+            assert specs[-1].build().compiled_kernel is live.compiled_kernel
         finally:
             svc.stop()
 
