@@ -32,8 +32,8 @@ Subcommands:
   ``--metrics`` / ``--shutdown`` the running server;
 * ``fleet <id> [...] --output DIR`` — run a campaign on an elastic
   worker fleet: N workers lease runs from one shared manifest, steal
-  the leases of dead workers, and fold their caches into DIR, after
-  which a ``run`` over DIR's cache replays entirely from cache;
+  the leases of dead workers, and fold their caches into DIR, from
+  which the experiments are exported into DIR as ``run`` would;
 * ``family`` — chip-family sweeps over declarative
   :mod:`repro.chips` specs: ``family list`` / ``family expand NAME``
   show the named families and their member fingerprints, ``family
@@ -79,7 +79,8 @@ invocation records per-experiment completion in a campaign manifest
 re-invoked with ``run --resume`` and only the unfinished experiments —
 and, thanks to the disk cache's incremental checkpoints, only their
 unfinished runs — are recomputed.  ``telemetry.json`` is exported even
-when the campaign fails partway.
+when the campaign fails partway.  ``family run`` (once per member)
+and ``fleet`` (after the fold) go through ``run``'s experiment loop.
 """
 
 from __future__ import annotations
@@ -87,9 +88,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
-from .errors import ReproError
+from .engine.campaign import MANIFEST_NAME, CampaignManifest
+from .errors import ExecutionError, ReproError
 from .experiments import (
     all_experiments,
     default_context,
@@ -851,8 +854,6 @@ def _run_plan(args: argparse.Namespace) -> int:
     print(f"unique runs    : {summary['unique']}")
     print(f"dedup savings  : {savings} ({pct:.0f}% of requested)")
     if args.since:
-        from .engine import CampaignManifest
-
         since = Path(args.since)
         if not since.exists():
             print(f"error: no such manifest: {since}", file=sys.stderr)
@@ -925,6 +926,140 @@ def _relist_in_index(index_path: Path, experiment_ids: list[str]) -> None:
     atomic_write_json(index_path, index)
 
 
+class _ExperimentLoop:
+    """One invocation of the experiment loop (``run``, ``family run``,
+    ``fleet``): ``with _ExperimentLoop(args, dir) as loop`` and one
+    :meth:`run` per (context, export directory).  It owns the
+    event log, the ``campaign.*`` events and span, Ctrl-C (status 130),
+    a :class:`ReproError` escaping a pass (status 1), the exports
+    (written as it ends, whatever the status), the resilience counters
+    and ``--profile``.  Drivers come from this module's
+    ``get_experiment``, the binding a tracer wraps.
+    """
+
+    def __init__(self, args: argparse.Namespace, campaign_dir: Path | None):
+        self.drivers = [
+            (eid, get_experiment(eid)) for eid in _requested_ids(args)
+        ]
+        self.profile = args.profile
+        self.status = 0
+        self.telemetry = get_telemetry()
+        self._event_log = _trace_log(args, campaign_dir)
+        self._exports: list[tuple[Path, dict, list[str]]] = []
+
+    def __enter__(self) -> "_ExperimentLoop":
+        if self._event_log is not None:
+            self.telemetry.enable_tracing(events=self._event_log)
+            self.telemetry.emit(
+                "campaign.started", experiments=[e for e, _ in self.drivers]
+            )
+        self._span = self.telemetry.span(
+            "campaign", experiments=len(self.drivers)
+        )
+        self._span.__enter__()
+        return self
+
+    def __exit__(self, kind, error, traceback) -> bool:
+        telemetry = self.telemetry
+        self._span.__exit__(kind, error, traceback)
+        handled = isinstance(error, (KeyboardInterrupt, ReproError))
+        if isinstance(error, KeyboardInterrupt):
+            self.status = 130
+            print("interrupted: campaign state is checkpointed; re-invoke "
+                  "with 'run --resume' to continue", file=sys.stderr)
+        elif handled:
+            self.status = 1
+            print(f"error: {error}", file=sys.stderr)
+        if self._event_log is not None:
+            telemetry.emit("campaign.completed", status=self.status,
+                           snapshot=telemetry.snapshot())
+            self._event_log.close()
+            print(f"event log: {self._event_log.path} "
+                  f"(inspect with 'repro-noise profile')", file=sys.stderr)
+        # Through the module, so a tracer that wraps it sees the call.
+        from .experiments import exporter
+
+        for output, results, skipped in self._exports:
+            if not results:
+                # No finished result — still flush the telemetry
+                # snapshot, so the campaign is diagnosable.
+                exporter.export_telemetry(output, telemetry)
+                continue
+            index = exporter.export_results(
+                list(results.values()), output, telemetry
+            )
+            if skipped:
+                _relist_in_index(index, skipped)
+            print(f"exported {len(results)} experiment artifact(s); "
+                  f"index: {index}")
+        if self.status != 0 and telemetry.resilience_summary():
+            summary = ", ".join(
+                f"{name}={count}"
+                for name, count in telemetry.resilience_summary().items()
+            )
+            print(f"resilience counters: {summary}", file=sys.stderr)
+        if self.profile:
+            print(telemetry.report())
+        return handled
+
+    def run(self, context, output, *, manifest_dir: Path | None = None,
+                 resume: bool = False, lost: dict[str, str] | None = None,
+                 member: str | None = None) -> dict:
+        """Run every driver over *context*; returns the results by id.
+
+        An experiment that loses runs fails by name and the rest run; so
+        does one *lost* names, without its driver running.  The campaign
+        manifest in *manifest_dir* records each experiment, and *resume*
+        skips those it records as finished.  Results are printed and,
+        with *output*, exported there as the invocation ends.
+        """
+        telemetry = self.telemetry
+        manifest = (
+            CampaignManifest(manifest_dir / MANIFEST_NAME)
+            if manifest_dir is not None else None
+        )
+        drivers = self.drivers
+        skipped: list[str] = []
+        if resume:
+            finished = manifest.completed
+            skipped = [eid for eid, _ in drivers if eid in finished]
+            if skipped:
+                drivers = [(e, d) for e, d in drivers if e not in finished]
+                telemetry.increment("campaign.points_skipped", len(skipped))
+                print(f"resume: skipping {len(skipped)} finished "
+                      f"experiment(s): {', '.join(skipped)}")
+        results: dict = {}
+        if output is not None:
+            self._exports.append((Path(output), results, skipped))
+        for experiment_id, driver in drivers:
+            if manifest is not None:
+                manifest.mark_started(experiment_id)
+            telemetry.emit("experiment.started", experiment=experiment_id)
+            try:
+                if lost and experiment_id in lost:
+                    raise ExecutionError(lost[experiment_id])
+                result = driver(context)
+            except ReproError as error:
+                on = f" on {member}" if member else ""
+                print(f"error in {experiment_id}{on}: {error}",
+                      file=sys.stderr)
+                if manifest is not None:
+                    manifest.mark_failed(experiment_id, str(error))
+                telemetry.increment("campaign.points_failed")
+                telemetry.emit("experiment.failed", experiment=experiment_id,
+                               error=str(error))
+                self.status = 1
+                continue
+            results[experiment_id] = result
+            telemetry.increment("campaign.points_completed")
+            if manifest is not None:
+                manifest.mark_complete(experiment_id)
+            telemetry.emit("experiment.completed", experiment=experiment_id)
+            print(result)
+            print()
+        return results
+
+
 def _member_label(name: str) -> str:
     """Short member label (``quick/cores4`` → ``cores4``) — used for
     per-member export directories and compact tables."""
@@ -981,7 +1116,6 @@ def _run_family(args: argparse.Namespace) -> int:
     from .chips import get_family, list_families
     from .experiments import compile_family_campaign, context_for_spec
     from .ioutil import atomic_write_json
-    from .plan import execute_family
 
     if args.action == "list":
         for family in list_families():
@@ -1032,7 +1166,6 @@ def _run_family(args: argparse.Namespace) -> int:
         print(f"error: family {args.action} needs experiment ids",
               file=sys.stderr)
         return 2
-    telemetry = get_telemetry()
     try:
         campaign = compile_family_campaign(
             _requested_ids(args), family, quick=args.quick, members=members
@@ -1065,28 +1198,8 @@ def _run_family(args: argparse.Namespace) -> int:
         return 0
 
     output = Path(args.output) if args.output else None
-    event_log = _trace_log(args, output)
-    if event_log is not None:
-        telemetry.enable_tracing(events=event_log)
-    status = 0
     family_index: list[dict] = []
-    try:
-        # Execute the compiled campaign first — sessions grouped by
-        # chip, every unique run solved exactly once — then let the
-        # drivers replay from cache to build their figures.
-        report = execute_family(
-            campaign,
-            on_failure=args.on_failure
-            or os.environ.get("REPRO_ON_FAILURE")
-            or "raise",
-            telemetry=telemetry,
-        )
-        print(
-            f"executed {report.runs} run(s) across {len(campaign)} "
-            f"member(s) — {report.executed} solved, {report.replayed} "
-            f"replayed from cache"
-        )
-        print()
+    with _ExperimentLoop(args, output) as loop:
         for entry in campaign.members:
             label = _member_label(entry.name)
             context = context_for_spec(entry.spec, quick=args.quick)
@@ -1094,26 +1207,12 @@ def _run_family(args: argparse.Namespace) -> int:
                 f"== {entry.name} (chip {entry.chip_digest[:16]}…, "
                 f"{entry.spec.n_cores} cores) =="
             )
-            results: dict = {}
-            for experiment_id in _requested_ids(args):
-                driver = get_experiment(experiment_id)
-                try:
-                    with telemetry.span(
-                        "family.member",
-                        member=entry.name,
-                        experiment=experiment_id,
-                    ):
-                        results[experiment_id] = driver(context)
-                except ReproError as error:
-                    print(
-                        f"error in {experiment_id} on {entry.name}: "
-                        f"{error}",
-                        file=sys.stderr,
-                    )
-                    status = 1
-            for result in results.values():
-                print(result)
-                print()
+            member_dir = output / label if output is not None else None
+            with loop.telemetry.span("family.member", member=entry.name):
+                results = loop.run(
+                    context, member_dir, manifest_dir=member_dir,
+                    member=entry.name,
+                )
             record = {
                 "name": entry.name,
                 "label": label,
@@ -1123,48 +1222,33 @@ def _run_family(args: argparse.Namespace) -> int:
                 "spec": entry.spec.to_dict(),
                 **_family_member_metrics(context, results),
             }
-            if output is not None and results:
-                from .experiments.exporter import export_results
-
-                member_dir = output / label
-                export_results(
-                    list(results.values()), member_dir, telemetry
-                )
+            if member_dir is not None and results:
                 record["export_dir"] = label
             family_index.append(record)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
-        if event_log is not None:
-            event_log.close()
 
-    header = f"  {'member':<16} {'cores':>5} {'resonance':>10} " \
-             f"{'worst Vmin':>10} {'peak %p2p':>9}"
-    print(f"-- family result set ({family.name}) --")
-    print(header)
-    for record in family_index:
-        resonance = record["resonance_freq_hz"]
-        vmin = record["worst_vmin_v"]
-        peak = record["peak_p2p_pct"]
-        print(
-            f"  {record['label']:<16} {record['n_cores']:>5} "
-            f"{(f'{resonance:.3g}Hz' if resonance else '-'):>10} "
-            f"{(f'{vmin:.4g}V' if vmin else '-'):>10} "
-            f"{(f'{peak:.1f}' if peak is not None else '-'):>9}"
-        )
-    if output is not None:
-        payload = {
-            "family": family.name,
-            "fingerprint": campaign.fingerprint(),
-            "experiments": _requested_ids(args),
-            "members": family_index,
-        }
-        path = atomic_write_json(output / "family-results.json", payload)
-        print(f"family result set: {path}")
-    if args.profile:
-        print(telemetry.report())
-    return status
+        print(f"-- family result set ({family.name}) --")
+        print(f"  {'member':<16} {'cores':>5} {'resonance':>10} "
+              f"{'worst Vmin':>10} {'peak %p2p':>9}")
+        for record in family_index:
+            resonance = record["resonance_freq_hz"]
+            vmin = record["worst_vmin_v"]
+            peak = record["peak_p2p_pct"]
+            print(
+                f"  {record['label']:<16} {record['n_cores']:>5} "
+                f"{(f'{resonance:.3g}Hz' if resonance else '-'):>10} "
+                f"{(f'{vmin:.4g}V' if vmin else '-'):>10} "
+                f"{(f'{peak:.1f}' if peak is not None else '-'):>9}"
+            )
+        if output is not None:
+            payload = {
+                "family": family.name,
+                "fingerprint": campaign.fingerprint(),
+                "experiments": _requested_ids(args),
+                "members": family_index,
+            }
+            path = atomic_write_json(output / "family-results.json", payload)
+            print(f"family result set: {path}")
+    return loop.status
 
 
 def _parse_endpoint(spec: str) -> tuple[str, int]:
@@ -1204,19 +1288,37 @@ def _fleet_worker_command(args: argparse.Namespace) -> list[str]:
     return command
 
 
+def _lost_on_the_fleet(campaign, dispatcher) -> dict[str, str]:
+    """Experiment id → why its driver must not run: the fleet left
+    some of its planned runs unfinished, poisoned or failed.  Executing
+    a poisoned run kills the process, so the dispatcher never does."""
+    lost = Counter(
+        figure
+        for fingerprint in (*dispatcher.unfinished, *dispatcher.failed)
+        for figure in campaign.unique[fingerprint].figures
+    )
+    return {
+        figure: f"{count} of its planned run(s) did not complete on the fleet"
+        for figure, count in lost.items()
+    }
+
+
 def _run_fleet(args: argparse.Namespace) -> int:
     """The ``fleet`` subcommand: dispatch an elastic worker fleet over
-    one campaign and fold the results."""
+    one campaign, fold the results, and export the experiments from the
+    folded cache."""
+    from .engine import configure_cache
     from .experiments import compile_campaign
     from .fleet import FleetDispatcher
 
-    context = quick_context() if args.quick else default_context()
     campaign_dir = Path(args.output)
-    telemetry = get_telemetry()
-    event_log = _trace_log(args, campaign_dir)
-    if event_log is not None:
-        telemetry.enable_tracing(events=event_log)
     try:
+        loop = _ExperimentLoop(args, campaign_dir)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+    with loop:
+        context = quick_context() if args.quick else default_context()
         campaign = compile_campaign(_requested_ids(args), context)
         hosts = [h for h in (args.hosts or "").split(",") if h] or None
         dispatcher = FleetDispatcher(
@@ -1230,50 +1332,43 @@ def _run_fleet(args: argparse.Namespace) -> int:
             slurm_template=args.slurm_template,
             respawn=args.respawn,
             timeout_s=args.fleet_timeout,
-            telemetry=telemetry,
+            telemetry=loop.telemetry,
         )
         report = dispatcher.run()
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
-        if event_log is not None:
-            event_log.close()
-    summary = report.summary()
-    print(
-        f"fleet campaign {report.plan[:16]}…: {report.runs} run(s) — "
-        f"{report.executed} executed, {report.replayed} replayed, "
-        f"{report.failed} failed, {summary.get('stolen', 0)} stolen"
-    )
-    for worker, tally in summary.get("by_worker", {}).items():
+        summary = report.summary()
         print(
-            f"  {worker:<8} completed={tally['completed']:<4} "
-            f"stolen={tally['stolen']:<3} failed={tally['failed']}"
+            f"fleet campaign {report.plan[:16]}…: {report.runs} run(s) — "
+            f"{report.executed} executed, {report.replayed} replayed, "
+            f"{report.failed} failed, {summary.get('stolen', 0)} stolen"
         )
-    counters = telemetry.snapshot().get("counters", {})
-    fleet_counters = ", ".join(
-        f"{name.removeprefix('fleet.')}={count}"
-        for name, count in sorted(counters.items())
-        if name.startswith("fleet.")
-    )
-    if fleet_counters:
-        print(f"fleet counters: {fleet_counters}")
-    print(f"campaign dir: {campaign_dir} (folded cache in cache/)")
-    if args.profile:
-        print(telemetry.report())
-    if dispatcher.unfinished:
-        benched = (
-            f" ({len(dispatcher.poisoned)} poisoned)"
-            if dispatcher.poisoned
-            else ""
+        for worker, tally in summary.get("by_worker", {}).items():
+            print(
+                f"  {worker:<8} completed={tally['completed']:<4} "
+                f"stolen={tally['stolen']:<3} failed={tally['failed']}"
+            )
+        fleet_counters = ", ".join(
+            f"{name.removeprefix('fleet.')}={count}"
+            for name, count in sorted(loop.telemetry.counters.items())
+            if name.startswith("fleet.")
         )
-        print(
-            f"error: {len(dispatcher.unfinished)} run(s) did not "
-            f"complete{benched}",
-            file=sys.stderr,
+        if fleet_counters:
+            print(f"fleet counters: {fleet_counters}")
+        print(f"campaign dir: {campaign_dir} (folded cache in cache/)\n")
+        if dispatcher.unfinished:
+            poisoned = dispatcher.poisoned
+            note = f" ({len(poisoned)} poisoned)" if poisoned else ""
+            print(f"error: {len(dispatcher.unfinished)} run(s) did not "
+                  f"complete{note}", file=sys.stderr)
+        # The export pass replays the folded cache.
+        configure_cache(cache_dir=campaign_dir / "cache")
+        context = quick_context() if args.quick else default_context()
+        loop.run(
+            context, campaign_dir, manifest_dir=campaign_dir,
+            lost=_lost_on_the_fleet(campaign, dispatcher),
         )
-        return 1
-    return 1 if report.failed else 0
+        if dispatcher.unfinished or report.failed:
+            loop.status = 1
+    return loop.status
 
 
 def _run_fleet_worker(args: argparse.Namespace) -> int:
@@ -1282,7 +1377,6 @@ def _run_fleet_worker(args: argparse.Namespace) -> int:
     import json
     import signal
 
-    from .engine import CampaignManifest
     from .engine.cache import ResultCache
     from .experiments import compile_campaign
     from .fleet import LIVE_SIDECAR_NAME, FleetWorker
@@ -1770,15 +1864,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"{experiment_id:<8} {title}")
         return 0
 
-    requested = args.experiments
-    if requested == ["all"]:
-        requested = list(all_experiments())
-    try:
-        drivers = [(eid, get_experiment(eid)) for eid in requested]
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
     campaign_dir = _campaign_dir(args)
     if args.resume and campaign_dir is None:
         print(
@@ -1787,112 +1872,18 @@ def _dispatch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    manifest = None
-    if campaign_dir is not None:
-        from .engine import CampaignManifest
-
-        manifest = CampaignManifest(campaign_dir / "campaign-manifest.json")
-    telemetry = get_telemetry()
-    skipped: list[str] = []
-    if args.resume:
-        finished = manifest.completed
-        skipped = [eid for eid, _ in drivers if eid in finished]
-        if skipped:
-            drivers = [(e, d) for e, d in drivers if e not in finished]
-            telemetry.increment("campaign.points_skipped", len(skipped))
-            print(
-                f"resume: skipping {len(skipped)} finished "
-                f"experiment(s): {', '.join(skipped)}"
-            )
-
-    event_log = _trace_log(args, campaign_dir)
-    if event_log is not None:
-        telemetry.enable_tracing(events=event_log)
-        telemetry.emit(
-            "campaign.started", experiments=[eid for eid, _ in drivers]
-        )
-
-    context = quick_context() if args.quick else default_context()
-    status = 0
-    results = []
     try:
-        with telemetry.span("campaign", experiments=len(drivers)):
-            for experiment_id, driver in drivers:
-                if manifest is not None:
-                    manifest.mark_started(experiment_id)
-                telemetry.emit("experiment.started", experiment=experiment_id)
-                try:
-                    result = driver(context)
-                except ReproError as error:
-                    print(
-                        f"error in {experiment_id}: {error}", file=sys.stderr
-                    )
-                    if manifest is not None:
-                        manifest.mark_failed(experiment_id, str(error))
-                    telemetry.increment("campaign.points_failed")
-                    telemetry.emit(
-                        "experiment.failed",
-                        experiment=experiment_id,
-                        error=str(error),
-                    )
-                    status = 1
-                    continue
-                results.append(result)
-                telemetry.increment("campaign.points_completed")
-                if manifest is not None:
-                    manifest.mark_complete(experiment_id)
-                telemetry.emit(
-                    "experiment.completed", experiment=experiment_id
-                )
-                print(result)
-                print()
-    except KeyboardInterrupt:
-        # Completed runs are already checkpointed (disk cache) and
-        # completed experiments recorded (manifest): resumable.
-        status = 130
-        print(
-            "interrupted: campaign state is checkpointed; re-invoke "
-            "with 'run --resume' to continue",
-            file=sys.stderr,
+        loop = _ExperimentLoop(args, campaign_dir)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    with loop:
+        context = quick_context() if args.quick else default_context()
+        loop.run(
+            context, args.output, manifest_dir=campaign_dir,
+            resume=args.resume,
         )
-    finally:
-        if event_log is not None:
-            telemetry.emit(
-                "campaign.completed",
-                status=status,
-                snapshot=telemetry.snapshot(),
-            )
-            event_log.close()
-            print(
-                f"event log: {event_log.path} "
-                f"(inspect with 'repro-noise profile')",
-                file=sys.stderr,
-            )
-        if args.output and results:
-            from .experiments.exporter import export_results
-
-            index = export_results(results, args.output, telemetry)
-            if skipped:
-                _relist_in_index(index, skipped)
-            print(
-                f"exported {len(results)} experiment artifact(s); "
-                f"index: {index}"
-            )
-        elif args.output:
-            # No finished result — still flush the telemetry snapshot
-            # so the failed/interrupted campaign is diagnosable.
-            from .experiments.exporter import export_telemetry
-
-            export_telemetry(args.output, telemetry)
-        if status != 0 and telemetry.resilience_summary():
-            summary = ", ".join(
-                f"{name}={count}"
-                for name, count in telemetry.resilience_summary().items()
-            )
-            print(f"resilience counters: {summary}", file=sys.stderr)
-        if args.profile:
-            print(telemetry.report())
-    return status
+    return loop.status
 
 
 if __name__ == "__main__":  # pragma: no cover

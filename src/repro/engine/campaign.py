@@ -573,7 +573,7 @@ class CampaignManifest:
         """Per-worker tallies from worker-attributed entries: runs
         ``completed`` / ``stolen`` (completed after stealing) /
         ``failed`` per worker id — what
-        :meth:`~repro.plan.execute.ExecutionReport.summary` reports as
+        :meth:`~repro.fleet.dispatcher.ExecutionReport.summary` reports as
         ``by_worker`` after a fleet campaign."""
         accounting: dict[str, dict] = {}
         for entry in self.load()["points"].values():

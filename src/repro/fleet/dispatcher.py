@@ -8,6 +8,8 @@ campaign directory::
       cache/                     folded result cache (after the fold)
       events.jsonl               folded event log (after the fold)
       live-status.json           in-flight aggregate (during the run)
+      <experiment>.json/.txt     the exports ``repro-noise fleet`` writes
+      index.json, telemetry.json   from the folded cache (after the fold)
       workers/<id>/
         cache/                   the worker's private result cache
         campaign-manifest.json   the worker's private completion record
@@ -47,6 +49,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..engine.cache import merge_cache_dirs
@@ -54,11 +57,42 @@ from ..engine.campaign import MANIFEST_NAME, CampaignManifest
 from ..errors import ConfigError
 from ..machine.chip import Chip
 from ..obs import Telemetry, get_telemetry
-from ..plan.execute import ExecutionReport, run_point_id
-from ..plan.planner import CampaignPlan
+from ..plan.planner import CampaignPlan, run_point_id
 from .live import FleetLiveAggregator
 
-__all__ = ["FleetDispatcher"]
+__all__ = ["ExecutionReport", "FleetDispatcher"]
+
+
+@dataclass
+class ExecutionReport:
+    """What a fleet campaign did, as its fold counted it."""
+
+    plan: str                      # campaign plan fingerprint
+    runs: int                      # unique runs in the plan
+    executed: int = 0              # solved by a worker
+    replayed: int = 0              # served from a cache
+    failed: int = 0                # exhausted their retry budget
+    #: Per-worker accounting: worker id → {"completed", "stolen",
+    #: "failed"} (see :meth:`CampaignManifest.fleet_accounting`).
+    by_worker: dict = field(default_factory=dict)
+
+    def summary(self) -> dict:
+        summary = {
+            "plan": self.plan,
+            "runs": self.runs,
+            "executed": self.executed,
+            "replayed": self.replayed,
+            "failed": self.failed,
+        }
+        if self.by_worker:
+            summary["by_worker"] = {
+                worker: dict(tally)
+                for worker, tally in sorted(self.by_worker.items())
+            }
+            summary["stolen"] = sum(
+                tally.get("stolen", 0) for tally in self.by_worker.values()
+            )
+        return summary
 
 
 class FleetDispatcher:
@@ -177,6 +211,7 @@ class FleetDispatcher:
         )
         self.unfinished: list[str] = []
         self.poisoned: list[str] = []
+        self.failed: list[str] = []
         self._procs: dict[str, subprocess.Popen] = {}
         self._logs: list = []
         self._respawns = 0
@@ -351,22 +386,23 @@ class FleetDispatcher:
             by_worker=by_worker,
         )
         executed = sum(t["completed"] for t in by_worker.values())
-        complete = failed = 0
+        complete = 0
         self.unfinished = []
         self.poisoned = []
+        self.failed = []
         for fingerprint in self.campaign.unique:
             status = statuses.get(run_point_id(fingerprint))
             if status == "complete":
                 complete += 1
             elif status == "failed":
-                failed += 1
+                self.failed.append(fingerprint)
             else:
                 if status == "poisoned":
                     self.poisoned.append(fingerprint)
                 self.unfinished.append(fingerprint)
         report.executed = min(executed, complete)
         report.replayed = complete - report.executed
-        report.failed = failed
+        report.failed = len(self.failed)
         self.manifest.mark_complete("shard:fleet", meta=report.summary())
         if self.live is not None:
             # Final status write: phase "folded" tells a tailing `top`

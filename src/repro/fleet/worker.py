@@ -47,8 +47,7 @@ from ..errors import ConcurrencyError, ProtocolError
 from ..faults import FaultPlan
 from ..machine.chip import Chip
 from ..obs import Telemetry, get_telemetry
-from ..plan.execute import run_point_id
-from ..plan.planner import CampaignPlan
+from ..plan.planner import CampaignPlan, run_point_id
 from .. import ioutil
 
 __all__ = ["FleetWorker", "KILL_EXIT_STATUS"]

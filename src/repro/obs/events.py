@@ -20,9 +20,6 @@ Event schema (one object per line)::
   ``run.failed`` add ``dur_s``, ``attempts`` and ``worker`` (pid of
   the executing process — the per-worker lanes of the Chrome trace);
   ``run.retried`` adds ``retries``; ``run.failed`` adds ``error``.
-* ``plan.compiled`` carries the campaign-plan summary (requested /
-  unique / dedup counts per figure); ``family.completed`` carries a
-  family run's per-member execution report.
 * ``experiment.*`` events carry ``experiment``; ``campaign.completed``
   carries the final telemetry ``snapshot`` (merged counters,
   histograms, span summaries).
@@ -81,8 +78,6 @@ EVENT_TYPES = frozenset({
     "run.cached",
     "run.completed",
     "point.dropped",
-    "plan.compiled",
-    "family.completed",
     "serve.started",
     "serve.stopped",
     "serve.request",

@@ -1,4 +1,4 @@
-"""Precomputed step/ramp response library for fast waveform assembly.
+"""Precomputed ramp response library for fast waveform assembly.
 
 Multi-core stressmark runs are assembled by linear superposition
 (:mod:`repro.pdn.superposition`): every current edge a workload produces
@@ -25,7 +25,7 @@ __all__ = ["ResponseLibrary"]
 
 
 class ResponseLibrary:
-    """Sampled unit step and ramp responses for (port, node) pairs.
+    """Sampled unit ramp responses and DC gains for (port, node) pairs.
 
     Parameters
     ----------
@@ -84,7 +84,6 @@ class ResponseLibrary:
         coarse = np.geomspace(fine_end, horizon, coarse_points)
         self.grid = np.unique(np.concatenate([fine, coarse]))
 
-        self._step: dict[tuple[str, str], np.ndarray] = {}
         self._ramp: dict[tuple[str, str], np.ndarray] = {}
         self._dc: dict[tuple[str, str], float] = {}
         self._build()
@@ -95,14 +94,13 @@ class ResponseLibrary:
         all_responses = self.modal.step_responses(
             self.ports, self.nodes, self.grid
         )
+        # The ramp tables are fresh arrays, so no step response outlives
+        # the build.
         for port, responses in zip(self.ports, all_responses):
             for row, node in enumerate(self.nodes):
                 step = responses[row]
-                ramp = self._smooth(step)
-                key = (port, node)
-                self._step[key] = step
-                self._ramp[key] = ramp
-                self._dc[key] = float(step[-1])
+                self._ramp[(port, node)] = self._smooth(step)
+                self._dc[(port, node)] = float(step[-1])
 
     def _smooth(self, step: np.ndarray) -> np.ndarray:
         """Ramp response: moving average of the step response over the
@@ -125,20 +123,15 @@ class ResponseLibrary:
                 f"response for port {port!r} -> node {node!r} was not precomputed"
             ) from None
 
-    def step(self, port: str, node: str, times: np.ndarray) -> np.ndarray:
-        """Unit step response evaluated at *times* (causal; flat at the
-        DC value beyond the horizon)."""
-        table = self._lookup(self._step, port, node)
-        return self._eval(table, self._dc[(port, node)], times)
-
     def ramp(self, port: str, node: str, times: np.ndarray) -> np.ndarray:
-        """Unit ramp-edge response evaluated at *times*."""
+        """Unit ramp-edge response evaluated at *times* (causal; flat at
+        the DC value beyond the horizon)."""
         table = self._lookup(self._ramp, port, node)
         return self._eval(table, self._dc[(port, node)], times)
 
     def dc(self, port: str, node: str) -> float:
         """Steady-state voltage change per ampere of sustained load."""
-        self._lookup(self._step, port, node)
+        self._lookup(self._ramp, port, node)
         return self._dc[(port, node)]
 
     def _eval(self, samples: np.ndarray, dc: float, times: np.ndarray) -> np.ndarray:

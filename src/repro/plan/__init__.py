@@ -14,22 +14,23 @@ pipeline into **plan → dedup → execute**:
   of a multi-figure campaign and deduplicate identical runs *before*
   execution, so cross-figure sharing (Fig. 7a/9's frequency sweep,
   Fig. 11/13a's ΔI dataset) is explicit and countable;
-* :mod:`repro.plan.execute` — :func:`execute_plan`: run the plan
-  through the engine (same cache, same fingerprints), so the figure
-  drivers afterwards replay it from cache;
-* :mod:`repro.plan.family` — :class:`FamilyCampaign` /
-  :func:`execute_family`: the same pipeline fanned across a declarative
-  chip family (one member plan per chip fingerprint, per-chip
-  execution sessions).
+  :func:`run_point_id` names a planned run in a campaign manifest;
+* :mod:`repro.plan.family` — :class:`FamilyCampaign`: the same plan
+  compiled across a declarative chip family (one member plan per chip
+  fingerprint).
 
-A compiled plan fans out across processes or hosts through the lease
-fleet (:mod:`repro.fleet`).  See DESIGN.md §9 for the plan model and
-§12 for the fleet and its fold.
+Execution is the drivers' own: they run their sweeps through the
+context's session, and the planned runs are exactly what they execute
+(so a campaign executes ``CampaignPlan.total_unique`` runs on a cold
+cache).  A compiled plan fans out across processes or hosts through
+the lease fleet (:mod:`repro.fleet`), whose workers execute the plan's
+runs before ``repro-noise fleet`` exports the drivers' results from the
+folded cache.  See DESIGN.md §9 for the plan model and §12 for the
+fleet and its fold.
 """
 
-from .execute import ExecutionReport, execute_plan, run_point_id
-from .family import FamilyCampaign, FamilyMember, FamilyReport, execute_family
-from .planner import CampaignPlan, UniqueRun
+from .family import FamilyCampaign, FamilyMember
+from .planner import CampaignPlan, UniqueRun, run_point_id
 from .spec import PlannedRun, RunPlan, Sweep, chip_identity
 
 __all__ = [
@@ -39,11 +40,7 @@ __all__ = [
     "chip_identity",
     "CampaignPlan",
     "UniqueRun",
-    "ExecutionReport",
-    "execute_plan",
     "run_point_id",
     "FamilyCampaign",
     "FamilyMember",
-    "FamilyReport",
-    "execute_family",
 ]

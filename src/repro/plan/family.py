@@ -11,12 +11,9 @@ members can never share a run — dedup happens *within* each member
 (cross-figure sharing still collapses there), and the family totals are
 honest sums.
 
-Execution (:func:`execute_family`) visits members in family order and
-drives each member's plan through :func:`~repro.plan.execute.
-execute_plan` on that member's chip — sessions are grouped by chip
-fingerprint by construction, and the default member's execution is
-byte-identical to a standalone single-chip run (same cache keys).  A
-family fans out within each member's sessions (``--jobs``).
+``repro-noise family run`` runs the experiment drivers once per member,
+in family order, over that member's context; the default member's runs
+are byte-identical to a standalone single-chip run (same cache keys).
 """
 
 from __future__ import annotations
@@ -24,17 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ..chips import ChipFamily, ChipSpec, build_chip
-from ..engine.cache import ResultCache, global_cache
-from ..engine.executor import Executor, make_executor
+from ..chips import ChipFamily, ChipSpec
 from ..engine.fingerprint import content_key
-from ..engine.resilience import RetryPolicy
 from ..errors import ConfigError
-from ..obs import Telemetry, get_telemetry
-from .execute import ExecutionReport, execute_plan
 from .planner import CampaignPlan
 
-__all__ = ["FamilyMember", "FamilyCampaign", "FamilyReport", "execute_family"]
+__all__ = ["FamilyMember", "FamilyCampaign"]
 
 
 @dataclass
@@ -42,8 +34,8 @@ class FamilyMember:
     """One family member's slice of a family campaign."""
 
     spec: ChipSpec
-    #: Stable chip fingerprint digest (what serve rosters and session
-    #: grouping key on).
+    #: Stable chip fingerprint digest (what serve rosters key on and
+    #: ``family-results.json`` records).
     chip_digest: str
     plan: CampaignPlan
 
@@ -95,20 +87,6 @@ class FamilyCampaign:
             )
         return campaign
 
-    # -- lookup ---------------------------------------------------------
-    def member(self, name: str) -> FamilyMember:
-        """The member a spec name (full or label-only) or chip digest
-        addresses."""
-        for entry in self.members:
-            if name in (entry.name, entry.chip_digest):
-                return entry
-            if "/" in entry.name and entry.name.split("/", 1)[1] == name:
-                return entry
-        raise ConfigError(
-            f"family campaign {self.family!r} has no member {name!r}; "
-            f"members are {[entry.name for entry in self.members]}"
-        )
-
     # -- accounting -----------------------------------------------------
     @property
     def total_requested(self) -> int:
@@ -159,88 +137,3 @@ class FamilyCampaign:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-@dataclass
-class FamilyReport:
-    """What executing a family campaign did, per member."""
-
-    family: str
-    fingerprint: str
-    reports: dict[str, ExecutionReport] = field(default_factory=dict)
-
-    @property
-    def runs(self) -> int:
-        return sum(report.runs for report in self.reports.values())
-
-    @property
-    def executed(self) -> int:
-        return sum(report.executed for report in self.reports.values())
-
-    @property
-    def replayed(self) -> int:
-        return sum(report.replayed for report in self.reports.values())
-
-    @property
-    def failed(self) -> int:
-        return sum(report.failed for report in self.reports.values())
-
-    def summary(self) -> dict:
-        return {
-            "family": self.family,
-            "fingerprint": self.fingerprint,
-            "runs": self.runs,
-            "executed": self.executed,
-            "replayed": self.replayed,
-            "failed": self.failed,
-            "members": {
-                name: report.summary()
-                for name, report in sorted(self.reports.items())
-            },
-        }
-
-
-def execute_family(
-    campaign: FamilyCampaign,
-    *,
-    cache: ResultCache | None = None,
-    executor: Executor | None = None,
-    jobs: int | None = None,
-    retry: RetryPolicy | None = None,
-    on_failure: str = "raise",
-    telemetry: Telemetry | None = None,
-) -> FamilyReport:
-    """Execute *campaign* across every member.
-
-    Members run in family order, one :func:`execute_plan` call each, on
-    the member's memoized chip — execution sessions are therefore
-    grouped by chip fingerprint, and all members share one result cache
-    and one executor (run fingerprints embed the chip, so the shared
-    cache cannot cross-contaminate).
-    """
-    telemetry = telemetry or get_telemetry()
-    cache = cache if cache is not None else global_cache()
-    if executor is None:
-        executor = make_executor(jobs)
-
-    family_fp = campaign.fingerprint()
-    report = FamilyReport(family=campaign.family, fingerprint=family_fp)
-    with telemetry.span(
-        "family.execute",
-        family=campaign.family,
-        fingerprint=family_fp,
-        members=len(campaign.members),
-    ):
-        for entry in campaign.members:
-            chip = build_chip(entry.spec)
-            report.reports[entry.name] = execute_plan(
-                entry.plan,
-                chip,
-                cache=cache,
-                executor=executor,
-                retry=retry,
-                on_failure=on_failure,
-                telemetry=telemetry,
-            )
-    telemetry.emit("family.completed", **report.summary())
-    return report

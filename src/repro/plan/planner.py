@@ -22,7 +22,13 @@ from ..engine.fingerprint import content_key
 from ..errors import ConfigError
 from .spec import PlannedRun, RunPlan
 
-__all__ = ["UniqueRun", "CampaignPlan"]
+__all__ = ["UniqueRun", "CampaignPlan", "run_point_id"]
+
+
+def run_point_id(fingerprint: str) -> str:
+    """Manifest point id of one planned run (run-level checkpoints live
+    in the same namespace as experiment-level points, prefixed apart)."""
+    return f"run:{fingerprint}"
 
 
 @dataclass
@@ -127,7 +133,7 @@ class CampaignPlan:
             entry
             for entry in self.unique.values()
             if entry.fingerprint not in done
-            and f"run:{entry.fingerprint}" not in done
+            and run_point_id(entry.fingerprint) not in done
         ]
 
     # -- reporting ------------------------------------------------------
@@ -152,8 +158,7 @@ class CampaignPlan:
         return self.total_unique * mean_run_s / parallelism
 
     def summary(self) -> dict:
-        """JSON-friendly digest (what ``repro-noise plan`` renders and
-        the event log records as ``plan.compiled``)."""
+        """JSON-friendly digest (what ``repro-noise plan`` renders)."""
         unique_by_figure: dict[str, int] = {}
         exclusive_by_figure: dict[str, int] = {}
         for entry in self.unique.values():

@@ -14,11 +14,11 @@ import time
 
 import pytest
 
-from repro.engine import CampaignManifest, ResultCache
+from repro.engine import CampaignManifest, ResultCache, SimulationSession
 from repro.faults import FaultPlan
 from repro.fleet import KILL_EXIT_STATUS, FleetWorker
 from repro.obs import Telemetry
-from repro.plan import execute_plan, run_point_id
+from repro.plan import run_point_id
 
 
 def make_worker(campaign, chip, tmp_path, worker_id="w0", **kwargs):
@@ -42,6 +42,22 @@ def make_worker(campaign, chip, tmp_path, worker_id="w0", **kwargs):
 
 def points_of(campaign) -> list[str]:
     return [run_point_id(fp) for fp in campaign.unique]
+
+
+def run_serially(campaign, chip, cache: ResultCache) -> Telemetry:
+    """Execute the campaign's runs through one serial session, as a
+    driver's sweep does; returns the session's telemetry."""
+    entries = list(campaign.unique.values())
+    options = entries[0].run.options
+    assert all(entry.run.options == options for entry in entries)
+    telemetry = Telemetry()
+    SimulationSession(
+        chip, options, cache=cache, jobs=1, telemetry=telemetry
+    ).run_many(
+        [list(entry.run.mapping) for entry in entries],
+        [entry.run.tag for entry in entries],
+    )
+    return telemetry
 
 
 class TestWorkerLoop:
@@ -69,10 +85,10 @@ class TestWorkerLoop:
         """The acceptance property in miniature: a fleet execution's
         cached payloads are byte-for-byte the serial execution's."""
         serial = ResultCache(cache_dir=tmp_path / "serial")
-        report = execute_plan(
-            campaign, tiny_context.chip, cache=serial, jobs=1
+        telemetry = run_serially(campaign, tiny_context.chip, serial)
+        assert telemetry.counter("engine.runs_executed") == (
+            campaign.total_unique
         )
-        assert report.executed == campaign.total_unique
         worker = make_worker(campaign, tiny_context.chip, tmp_path)
         worker.run()
         for fingerprint in campaign.unique:
@@ -207,9 +223,7 @@ class TestServeProbe:
 
         telemetry = Telemetry()
         warm = ResultCache(cache_dir=tmp_path / "serve-cache")
-        execute_plan(
-            campaign, tiny_context.chip, cache=warm, jobs=1
-        )
+        run_serially(campaign, tiny_context.chip, warm)
         service = SimulationService(
             tiny_context.chip, tiny_context.options,
             cache=warm, jobs=1, telemetry=Telemetry(),

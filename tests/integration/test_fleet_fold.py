@@ -16,7 +16,7 @@ from repro.experiments.registry import get_experiment
 from repro.fleet import FleetDispatcher, FleetWorker
 from repro.machine.runner import RunOptions
 from repro.obs import EventLog, Telemetry, validate_event_log
-from repro.plan import execute_plan, run_point_id
+from repro.plan import run_point_id
 
 FIGURES = ["fig7a", "fig9"]
 
@@ -143,13 +143,13 @@ class TestFoldedEqualsSerial:
     def test_folded_cache_replays_the_whole_campaign(
         self, campaign, context, fleet
     ):
-        """Re-executing the plan over the folded cache touches the
-        solver zero times."""
+        """Re-executing the plan's runs over the folded cache touches
+        the solver zero times."""
         dispatcher, _, _ = fleet
         telemetry = Telemetry()
-        report = execute_plan(
-            campaign,
+        session = SimulationSession(
             context.chip,
+            context.options,
             cache=ResultCache(
                 cache_dir=dispatcher.campaign_dir / "cache",
                 telemetry=telemetry,
@@ -157,8 +157,13 @@ class TestFoldedEqualsSerial:
             jobs=1,
             telemetry=telemetry,
         )
-        assert report.executed == 0
-        assert report.replayed == campaign.total_unique
+        entries = list(campaign.unique.values())
+        assert all(entry.run.options == context.options for entry in entries)
+        session.run_many(
+            [list(entry.run.mapping) for entry in entries],
+            [entry.run.tag for entry in entries],
+        )
+        assert telemetry.counter("engine.cache.hits") == campaign.total_unique
         assert telemetry.counter("engine.runs_executed") == 0
 
     def test_exports_bit_identical(self, generator, chip, fleet, workdir):

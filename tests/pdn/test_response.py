@@ -48,13 +48,6 @@ class TestConstruction:
 
 
 class TestLookups:
-    def test_step_matches_modal(self, library):
-        modal = ModalSystem(build_state_space(small_net()))
-        t = np.linspace(0, 2e-6, 500)
-        exact = modal.step_response("load_a", ["b"], t)[0]
-        sampled = library.step("load_a", "b", t)
-        assert np.allclose(sampled, exact, atol=2e-5)
-
     def test_causal_before_zero(self, library):
         values = library.ramp("load_a", "a", np.array([-5e-9, -1e-12]))
         assert np.all(values == 0.0)
@@ -72,7 +65,7 @@ class TestLookups:
         """The ramp response must match the step response convolved with
         the rectangular rise window (checked at the window's end)."""
         t = np.array([50e-9, 200e-9])
-        step = library.step("load_a", "a", t)
+        step = library.modal.step_response("load_a", ["a"], t)[0]
         ramp = library.ramp("load_a", "a", t)
         # After many rise times they converge.
         assert ramp[1] == pytest.approx(step[1], rel=0.02)
@@ -83,7 +76,7 @@ class TestLookups:
 
     def test_unknown_pair_raises(self, library):
         with pytest.raises(SolverError):
-            library.step("load_a", "nope", np.array([0.0]))
+            library.ramp("load_a", "nope", np.array([0.0]))
         with pytest.raises(SolverError):
             library.dc("nope", "a")
 
@@ -126,7 +119,6 @@ class TestOnePhaseMatrix:
             for row, node in enumerate(library.nodes):
                 step = responses[row]
                 key = (port, node)
-                assert np.array_equal(bits(library._step[key]), bits(step))
                 assert np.array_equal(
                     bits(library._ramp[key]), bits(library._smooth(step))
                 )

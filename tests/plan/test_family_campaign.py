@@ -1,5 +1,5 @@
 """Family campaigns: per-member compilation, honest accounting, and
-execution grouped by chip.
+``family run`` executing each member's plan once.
 
 Two constants are pinned as cross-PR regression guards: the quick
 family's fig11a accounting and the default member's plan fingerprint.
@@ -16,19 +16,15 @@ import dataclasses
 import pytest
 
 from repro.chips import ChipFamily, ChipSpec, get_family
-from repro.engine import ResultCache
 from repro.errors import ConfigError
 from repro.experiments import compile_campaign, compile_family_campaign
 from repro.experiments.common import context_for_spec
 from repro.machine.runner import RunOptions
-from repro.obs import EventLog, Telemetry, read_events, validate_event_log
-from repro.plan import (
-    CampaignPlan,
-    FamilyCampaign,
-    RunPlan,
-    execute_family,
-)
+from repro.obs import Telemetry, read_events, validate_event_log
+from repro.obs import metrics as metrics_module
+from repro.plan import CampaignPlan, FamilyCampaign, RunPlan
 
+from ..smoke import counter
 from .conftest import square_wave
 
 #: ``quick/cores6`` fig11a plan fingerprint at the quick tier — equal to
@@ -59,7 +55,10 @@ class TestQuickFamilyPins:
     def test_default_member_plan_matches_standalone(self, quick_campaign):
         """Neutrality: the family's reference member compiles to exactly
         the plan a standalone quick-tier compile produces."""
-        member = quick_campaign.member("cores6")
+        (member,) = [
+            entry for entry in quick_campaign.members
+            if entry.name == "quick/cores6"
+        ]
         assert member.plan.fingerprint() == DEFAULT_MEMBER_PLAN_FP
         context = context_for_spec(ChipSpec(), quick=True)
         standalone = compile_campaign(["fig11a"], context)
@@ -87,13 +86,6 @@ class TestQuickFamilyPins:
         assert (
             reversed_campaign.fingerprint() == quick_campaign.fingerprint()
         )
-
-    def test_member_lookup(self, quick_campaign):
-        entry = quick_campaign.member("quick/cores8")
-        assert quick_campaign.member("cores8") is entry
-        assert quick_campaign.member(entry.chip_digest) is entry
-        with pytest.raises(ConfigError):
-            quick_campaign.member("cores5")
 
 
 CHEAP = RunOptions(segments=1, base_samples=64, events_cap=40)
@@ -139,40 +131,38 @@ class TestCompileValidation:
 
 
 class TestExecuteFamily:
-    def test_cold_then_warm(self, tiny_family):
-        campaign = FamilyCampaign.compile(tiny_family, _tiny_plan_for)
-        telemetry = Telemetry()
-        cache = ResultCache(telemetry=telemetry)
-        cold = execute_family(
-            campaign, cache=cache, jobs=1, telemetry=telemetry
-        )
-        assert cold.executed == campaign.total_unique == 4
-        assert cold.replayed == cold.failed == 0
-        assert set(cold.reports) == {"tiny/cores4", "tiny/cores6"}
-        assert all(
-            report.executed == 2 for report in cold.reports.values()
-        )
-        warm = execute_family(
-            campaign, cache=cache, jobs=1, telemetry=telemetry
-        )
-        assert warm.executed == 0
-        assert warm.replayed == campaign.total_unique
+    """``family run`` on the CLI, in this process: a cold run executes
+    each member's plan once, a warm one executes nothing, and a traced
+    run leaves a log the schema check accepts."""
 
-    def test_traced_run_writes_a_valid_log(self, tiny_family, tmp_path):
-        """``family.completed`` is a declared event type: a traced
-        family run leaves a log the schema check accepts."""
-        campaign = FamilyCampaign.compile(tiny_family, _tiny_plan_for)
-        telemetry = Telemetry()
-        log = EventLog(tmp_path / "events.jsonl")
-        telemetry.enable_tracing(events=log)
-        try:
-            execute_family(
-                campaign, cache=ResultCache(telemetry=telemetry), jobs=1,
-                telemetry=telemetry,
-            )
-        finally:
-            log.close()
-        _, errors = validate_event_log(log.path)
+    MEMBERS = ("cores4", "cores6")
+
+    def family_run(self, cli, *flags: str) -> int:
+        """``family run quick fig7a`` over the two members, with the
+        top-level *flags*; returns the runs the telemetry counted."""
+        status, out, _ = cli(
+            "--quick", *flags, "family", "run", "quick", "fig7a",
+            "--members", ",".join(self.MEMBERS), "--profile",
+        )
+        assert status == 0
+        return counter(out, "engine.runs_executed")
+
+    def test_cold_then_warm(self, cli, monkeypatch):
+        family = get_family("quick")
+        campaign = compile_family_campaign(
+            ["fig7a"], family, quick=True,
+            members=[family.member(label) for label in self.MEMBERS],
+        )
+        assert self.family_run(cli) == campaign.total_unique
+        monkeypatch.setattr(metrics_module, "_GLOBAL", Telemetry())
+        assert self.family_run(cli) == 0
+
+    def test_traced_run_writes_a_valid_log(self, cli, tmp_path):
+        log = tmp_path / "events.jsonl"
+        self.family_run(cli, "--trace-file", str(log))
+        n_valid, errors = validate_event_log(log)
         assert errors == []
-        kinds = {event["event"] for event in read_events(log.path)}
-        assert "family.completed" in kinds
+        assert n_valid > 0
+        kinds = [event["event"] for event in read_events(log)]
+        assert kinds.count("campaign.completed") == 1
+        assert kinds.count("experiment.completed") == len(self.MEMBERS)

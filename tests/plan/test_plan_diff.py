@@ -6,7 +6,7 @@ from repro.engine import CampaignManifest
 from repro.machine.chip import ChipConfig
 from repro.machine.runner import RunOptions
 from repro.plan import CampaignPlan, RunPlan, chip_identity
-from repro.plan.execute import run_point_id
+from repro.plan import run_point_id
 
 from .conftest import square_wave
 
