@@ -1562,8 +1562,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         )
         if event_log is not None:
             event_log.close()
-        if getattr(args, "profile", False):  # pragma: no cover
-            print(telemetry.report())
     return 0
 
 

@@ -20,6 +20,13 @@ stimulus, listed once per observation window: it is built, solved and
 folded into the sticky state once (min, max and the coherent-ΔI max are
 idempotent, so the reading is the same as folding every copy).
 
+A segment's *timing* — its phase starts and its sample grid — does not
+depend on the ΔI amplitudes, so it is memoized per chip in the compiled
+kernel's solve memo (:meth:`~repro.pdn.kernels.CompiledChipKernel.timing`):
+a run that repeats an earlier run's timing with new amplitudes (a ΔI
+sweep at fixed stimulus timing, a served request with a new ``i_high``)
+reuses the grids and phase draws and builds only its amplitudes.
+
 Within a segment the per-core voltage waveforms are solved by the
 chip's compiled kernel (:class:`~repro.pdn.kernels.CompiledChipKernel`,
 pinned against per-edge superposition of ramp responses in the tests),
@@ -37,9 +44,10 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigError, MeasurementError
-from ..pdn.kernels import SampleGrid
+from ..obs.metrics import get_telemetry
+from ..pdn.kernels import SampleGrid, _digest
 from ..pdn.superposition import EdgeTrain, edges_from_square_wave
-from ..rng import stream
+from ..rng import derive_seed
 from .chip import Chip
 from .workload import CurrentProgram, is_deterministic_mapping
 
@@ -63,6 +71,12 @@ _PROBE_OFFSETS = np.concatenate([
     np.geomspace(40e-9, 4e-6, 36),
 ])
 _PROBE_OFFSETS.flags.writeable = False
+
+#: Bytes a memoized phase start is charged in the solve memo: roughly
+#: its key tuple, float and memo entry.  A cold campaign draws hundreds
+#: of starts that never repeat; charged like this, they age out of the
+#: memo like any other entry.
+_START_BYTES = 128
 
 
 @dataclass
@@ -304,22 +318,23 @@ class ChipRunner:
     # -- phase 2 + 3: solve and measure ---------------------------------
     def execute(self, batch: StimulusBatch) -> RunResult:
         """Solve a prepared :class:`StimulusBatch` and measure it."""
-        chip = self.chip
-        core_nodes = chip.core_nodes
+        core_nodes = self.chip.core_nodes
         deviations = self._solve(batch, core_nodes)
-        sticky = [
-            {"v_min": np.inf, "v_max": -np.inf, "coherent": 0.0}
-            for _ in range(chip.n_cores)
-        ]
+        # Sticky fold, all cores at once per segment: the same sums,
+        # and min/max are exact.
+        dc = np.array([batch.dc_levels[node] for node in core_nodes])
+        v_min = np.full(dc.size, np.inf)
+        v_max = np.full(dc.size, -np.inf)
+        coherent = np.zeros(dc.size)
         for segment, rows in zip(batch.distinct_segments, deviations):
-            for core, node in enumerate(core_nodes):
-                volts = batch.dc_levels[node] + rows[core]
-                state = sticky[core]
-                state["v_min"] = min(state["v_min"], float(volts.min()))
-                state["v_max"] = max(state["v_max"], float(volts.max()))
-                state["coherent"] = max(
-                    state["coherent"], segment.coherent[core]
-                )
+            volts = dc[:, None] + rows
+            np.minimum(v_min, volts.min(axis=1), out=v_min)
+            np.maximum(v_max, volts.max(axis=1), out=v_max)
+            np.maximum(coherent, segment.coherent, out=coherent)
+        sticky = [
+            {"v_min": float(lo), "v_max": float(hi), "coherent": float(c)}
+            for lo, hi, c in zip(v_min, v_max, coherent)
+        ]
         return self.measure(batch, sticky, deviations[0])
 
     def measure(
@@ -474,11 +489,13 @@ class ChipRunner:
                 start = program.sync.offset
                 n_events = min(program.sync.events_per_sync, options.events_cap)
             else:
-                rng = stream(
-                    self.chip.config.seed, "phase", run_tag, segment, core,
-                    options.seed,
+                start = self._phase_start(
+                    derive_seed(
+                        self.chip.config.seed, "phase", run_tag, segment,
+                        core, options.seed,
+                    ),
+                    period,
                 )
-                start = float(rng.uniform(0.0, period))
                 n_events = options.events_cap
             trains.append(
                 edges_from_square_wave(
@@ -493,6 +510,21 @@ class ChipRunner:
             )
         return trains
 
+    def _phase_start(self, seed: int, period: float) -> float:
+        """A phase-randomized burst's start in one window: the first
+        uniform draw of the stream seeded *seed*, memoized under that
+        derived seed and the period.  Never under the raw run tag:
+        ``1``, ``1.0`` and ``True`` are one dict key but derive three
+        different seeds."""
+        start, _ = self.chip.compiled_kernel.timing(
+            ("start", seed, period),
+            lambda: (
+                float(np.random.default_rng(seed).uniform(0.0, period)),
+                _START_BYTES,
+            ),
+        )
+        return start
+
     def _sample_times(
         self, trains: list[EdgeTrain], options: RunOptions
     ) -> SampleGrid:
@@ -502,6 +534,10 @@ class ChipRunner:
         probe anchors/offsets, the ``unique`` gather) so the kernel
         can build phase matrices multiplicatively; the sample
         *values* are identical to simply uniquing the concatenation.
+        It is a function of the edge instants, ``t_end`` and the base
+        sample count alone, so it is memoized under those (the
+        ``engine.timing.hits``/``misses`` counters) and shared, read
+        only, by every segment with the same timing.
         """
         if trains:
             t_end = max(train.times.max() for train in trains) + options.tail
@@ -509,28 +545,14 @@ class ChipRunner:
         else:
             t_end = options.tail
             edge_times = np.empty(0)
-        base = np.linspace(0.0, t_end, options.base_samples)
-        if edge_times.size == 0:
-            return SampleGrid(
-                times=base,
-                t_end=t_end,
-                n_base=options.base_samples,
-                first_index=np.arange(base.size),
-            )
-        probes = (edge_times[:, None] + _PROBE_OFFSETS[None, :]).ravel()
-        keep = (probes >= 0.0) & (probes <= t_end)
-        times, first_index = np.unique(
-            np.concatenate([base, probes[keep]]), return_index=True
+        grid, hit = self.chip.compiled_kernel.timing(
+            ("grid", _digest(edge_times), t_end, options.base_samples),
+            lambda: _build_grid(edge_times, t_end, options.base_samples),
         )
-        return SampleGrid(
-            times=times,
-            t_end=t_end,
-            n_base=options.base_samples,
-            anchors=edge_times,
-            offsets=_PROBE_OFFSETS,
-            probe_mask=keep,
-            first_index=first_index,
+        get_telemetry().increment(
+            "engine.timing.hits" if hit else "engine.timing.misses"
         )
+        return grid
 
     def _coherent_delta_i(
         self,
@@ -588,11 +610,50 @@ class ChipRunner:
         amps = np.where(in_win, a[None, :], 0.0)
         # At most one edge per source core counts within a window: the
         # delay line integrates a single traversal, it does not
-        # accumulate a core's repeated events.
+        # accumulate a core's repeated events.  One grouped max over the
+        # columns sorted by core.
         per_core = np.zeros((t.size, n_cores))
-        for core in range(n_cores):
-            cols = amps[:, c == core]
-            if cols.size:
-                per_core[:, core] = cols.max(axis=1)
+        counts = np.bincount(c, minlength=n_cores)
+        bursting = np.flatnonzero(counts)
+        per_core[:, bursting] = np.maximum.reduceat(
+            amps[:, np.argsort(c, kind="stable")],
+            (np.cumsum(counts) - counts)[bursting],
+            axis=1,
+        )
         totals = per_core @ chip.coupling_matrix.T   # (windows, observers)
         return [float(v) for v in totals.max(axis=0)]
+
+
+def _build_grid(
+    edge_times: np.ndarray, t_end: float, n_base: int
+) -> tuple[SampleGrid, int]:
+    """The sample grid of one segment timing (see
+    :meth:`ChipRunner._sample_times`) and its bytes.  Its arrays are
+    read-only: the memo shares the grid between runs."""
+    base = np.linspace(0.0, t_end, n_base)
+    if edge_times.size == 0:
+        grid = SampleGrid(
+            times=base,
+            t_end=t_end,
+            n_base=n_base,
+            first_index=np.arange(base.size),
+        )
+    else:
+        probes = (edge_times[:, None] + _PROBE_OFFSETS[None, :]).ravel()
+        keep = (probes >= 0.0) & (probes <= t_end)
+        times, first_index = np.unique(
+            np.concatenate([base, probes[keep]]), return_index=True
+        )
+        grid = SampleGrid(
+            times=times,
+            t_end=t_end,
+            n_base=n_base,
+            anchors=edge_times,
+            offsets=_PROBE_OFFSETS,
+            probe_mask=keep,
+            first_index=first_index,
+        )
+    for value in vars(grid).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return grid, grid.nbytes

@@ -59,7 +59,11 @@ and the phase matrices and tier bookkeeping they are built from — live
 in one least-recently-used memo keyed by content digest and bounded by
 the bytes it holds (:data:`_MEMO_BYTES`).  A synchronized sweep — many
 runs sharing grids and edge instants — pays the tiered evaluation once
-per distinct block.
+per distinct block.  What depends on timing alone is kept apart from
+the amplitudes: the stimulus build memoizes its sample grids and
+phase starts in the same memo (:meth:`CompiledChipKernel.timing`), and
+a tier an earlier solve built keeps its window interpolation, so a run
+that repeats a timing with new edge deltas pays only for the deltas.
 """
 
 from __future__ import annotations
@@ -68,6 +72,8 @@ import hashlib
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -131,6 +137,17 @@ def _digest(array: np.ndarray) -> bytes:
     return hashlib.blake2b(array.tobytes(), digest_size=16).digest()
 
 
+def _array_bytes(record: object) -> int:
+    """Bytes of the distinct arrays among *record*'s attributes (one
+    array held under two names counts once)."""
+    arrays = {
+        id(value): value.nbytes
+        for value in vars(record).values()
+        if isinstance(value, np.ndarray)
+    }
+    return sum(arrays.values())
+
+
 class _SolveMemo:
     """A kernel's memo of solve intermediates, least recently used
     first out, bounded by the bytes of the arrays it holds.
@@ -139,8 +156,10 @@ class _SolveMemo:
     old end until the held bytes fit the budget, but always keeps the
     newest entry, even one larger than the whole budget, so the solve
     that built it still reads it back.  Keys are content digests tagged
-    by kind (``"phase"``, ``"tier"``, ``"block"``).  Not thread-safe:
-    a kernel is used from one thread at a time."""
+    by kind: the solve's ``"phase"``, ``"tier"``, ``"interp"`` and
+    ``"block"``, and the stimulus timing's ``"grid"`` and ``"start"``
+    (:meth:`CompiledChipKernel.timing`).  Not thread-safe: a kernel is
+    used from one thread at a time."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -188,6 +207,18 @@ class SampleGrid:
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
+
+    @cached_property
+    def times_key(self) -> bytes:
+        """Content digest of ``times``, taken once per grid: a grid the
+        stimulus build memoizes is solved by every run sharing its
+        timing, so the solve does not re-hash its samples."""
+        return _digest(self.times)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the distinct arrays held."""
+        return _array_bytes(self)
 
     @property
     def has_provenance(self) -> bool:
@@ -254,29 +285,27 @@ class _TierIndex:
     which is what makes it reusable across ports, segments and runs of
     a synchronized sweep."""
 
-    ks_w: np.ndarray                 # per sample: first edge in (t−W, ·]
-    ks_h: np.ndarray                 # per sample: first edge in (t−H, ·]
-    dc_start: int                    # first sample with ks_h > 0
+    run: np.ndarray                  # per sample: its run of equal bounds
+    run_w: np.ndarray                # per run: first edge in (t−W, ·]
+    run_h: np.ndarray                # per run: first edge in (t−H, ·]
+    dc_start: int                    # first sample with an edge in (·, t−H]
     slow_edges: np.ndarray           # (chunks, slots): edge of each slot
     slow_decay: np.ndarray           # (chunks, slots, S): e^{−λ(t_e−o_c)}
-    slow_w: np.ndarray               # per sample: prefix row at ks_w
-    slow_h: np.ndarray               # per sample: prefix row at ks_h
+    run_slow_w: np.ndarray           # per run: prefix row at run_w
+    run_slow_h: np.ndarray           # per run: prefix row at run_h
     win_sample: np.ndarray | None    # window pairs: local sample row
     win_idx: np.ndarray | None       # window pairs: table knot index
     win_frac: np.ndarray | None      # window pairs: x − knot·step
     win_active: np.ndarray | None    # edges with a non-empty range
     win_lengths: np.ndarray | None   # range length of each active edge
+    solve: int = 0                   # the solve_batch call that built it
 
     @property
     def nbytes(self) -> int:
         """Bytes of the distinct arrays held (on a one-chunk grid
-        ``slow_w``/``slow_h`` are ``ks_w``/``ks_h`` themselves)."""
-        arrays = {
-            id(value): value.nbytes
-            for value in vars(self).values()
-            if isinstance(value, np.ndarray)
-        }
-        return sum(arrays.values())
+        ``run_slow_w``/``run_slow_h`` are ``run_w``/``run_h``
+        themselves)."""
+        return _array_bytes(self)
 
 
 def _expand_ranges(
@@ -356,6 +385,7 @@ class CompiledChipKernel:
         self._build_modal_coefficients(library)
         self._self_check()
         self._memo = _SolveMemo(_MEMO_BYTES)
+        self._solves = 0  # solve_batch calls so far
 
     # -- compilation ----------------------------------------------------
     def _split_spectrum(self, eigenvalues: np.ndarray) -> None:
@@ -546,18 +576,42 @@ class CompiledChipKernel:
     def _tiers_for(
         self, times: np.ndarray, times_key: bytes, et: np.ndarray,
         et_key: bytes,
-    ) -> "_TierIndex":
+    ) -> tuple["_TierIndex", bool]:
         """Content-memoized tier bookkeeping for one (sample grid, edge
         train) pair: boundary indices, the slow tier's chunked decay
         factors and the expanded window-tier (sample, elapsed-time)
         pairs.  Port-independent — every port whose train shares the
-        same edge instants reuses it."""
+        same edge instants reuses it.  Also whether an earlier
+        :meth:`solve_batch` call built it: the timing then repeats
+        across solves, not only across the ports of one stimulus."""
         key = ("tier", times_key, et_key)
         tiers = self._memo.get(key)
         if tiers is None:
             tiers = self._build_tiers(times, et)
+            tiers.solve = self._solves
             self._memo.put(key, tiers, tiers.nbytes)
-        return tiers
+        return tiers, tiers.solve != self._solves
+
+    def _window_interp(
+        self, tiers: "_TierIndex", key: tuple, p: int, rows: np.ndarray
+    ) -> np.ndarray:
+        """The window tier's interpolated table values ``(rows × pairs)``
+        of one port on a tier an earlier solve built, memoized under
+        *key*.  They depend on the timing alone, so a block that shares
+        the tier pays only their product with the edge deltas."""
+        interp = self._memo.get(key)
+        if interp is None:
+            idx, frac = tiers.win_idx, tiers.win_frac
+            interp = np.empty((rows.size, idx.size))
+            for j, row in enumerate(rows):
+                np.add(
+                    self._wval[p, row].take(idx),
+                    frac * self._wslope[p, row].take(idx),
+                    out=interp[j],
+                )
+            interp.flags.writeable = False
+            self._memo.put(key, interp, interp.nbytes)
+        return interp
 
     def _build_tiers(self, times: np.ndarray, et: np.ndarray) -> _TierIndex:
         """Compute one :class:`_TierIndex` (see its docstring).  All
@@ -613,6 +667,17 @@ class CompiledChipKernel:
                 np.arange(starts.size) * (slots.size + 1) - first, sizes
             )
             slow_w, slow_h = base + ks_w, base + ks_h
+        # Every bound is monotone in t, so the samples fall into runs
+        # that share their bounds (about two per edge and chunk): a block
+        # differences its prefix sums once per run and gathers the runs.
+        change = np.empty(n, dtype=bool)
+        change[0] = True
+        change[1:] = (slow_w[1:] != slow_w[:-1]) | (slow_h[1:] != slow_h[:-1])
+        heads = np.flatnonzero(change)
+        run_w, run_h = ks_w[heads], ks_h[heads]
+        run_slow_w, run_slow_h = run_w, run_h
+        if origins is not None:
+            run_slow_w, run_slow_h = slow_w[heads], slow_h[heads]
 
         win_sample = win_idx = win_frac = win_active = win_lengths = None
         expanded = _expand_ranges(
@@ -627,10 +692,10 @@ class CompiledChipKernel:
             )
             win_frac = x - win_idx * step
         return _TierIndex(
-            ks_w=ks_w, ks_h=ks_h,
+            run=np.cumsum(change) - 1, run_w=run_w, run_h=run_h,
             dc_start=int(np.searchsorted(ks_h, 0, side="right")),
-            slow_edges=slow_edges,
-            slow_decay=slow_decay, slow_w=slow_w, slow_h=slow_h,
+            slow_edges=slow_edges, slow_decay=slow_decay,
+            run_slow_w=run_slow_w, run_slow_h=run_slow_h,
             win_sample=win_sample, win_idx=win_idx, win_frac=win_frac,
             win_active=win_active, win_lengths=win_lengths,
         )
@@ -658,6 +723,7 @@ class CompiledChipKernel:
         """
         nodes, rows = self._node_rows(nodes)
         rows_key = rows.tobytes()
+        self._solves += 1
         results = []
         for trains, grid in stimuli:
             if not isinstance(grid, SampleGrid):
@@ -677,7 +743,7 @@ class CompiledChipKernel:
                 by_port.setdefault(train.port, []).append(train)
             if not by_port:
                 continue
-            times_key = _digest(times)
+            times_key = grid.times_key
 
             for port, port_trains in by_port.items():
                 p = self._port_index[port]
@@ -713,6 +779,23 @@ class CompiledChipKernel:
         the ``(len(nodes), len(times))`` deviation waveforms."""
         return self.solve_batch([(trains, times)], nodes=nodes)[0]
 
+    def timing(
+        self, key: tuple, build: Callable[[], tuple[object, int]]
+    ) -> tuple[object, bool]:
+        """A stimulus timing artifact — a sample grid or a phase start
+        — memoized under *key* (tagged by kind), and whether the memo
+        already held it; ``build()`` returns the artifact and its bytes
+        on a miss.  Timing shares the solve memo's budget and dies with
+        the kernel, so an evicted chip frees it; a run that repeats
+        another's timing with new amplitudes builds only the amplitudes.
+        """
+        value = self._memo.get(key)
+        if value is not None:
+            return value, True
+        value, nbytes = build()
+        self._memo.put(key, value, nbytes)
+        return value, False
+
     # -- evaluation internals -------------------------------------------
     def _port_contribution(
         self,
@@ -729,7 +812,7 @@ class CompiledChipKernel:
         merged edge train — the cacheable unit of the solve.  Each
         observed row is contiguous, so the rank-one tiers and the window
         tier's scatter-adds each run along one row."""
-        tiers = self._tiers_for(times, times_key, et, et_key)
+        tiers, reused = self._tiers_for(times, times_key, et, et_key)
 
         # DC and steady-state tiers: rank-one products of the Σδ
         # prefix differences against the per-port gain rows.  Before
@@ -737,13 +820,15 @@ class CompiledChipKernel:
         # and the DC gains are negative, so the product would add -0.0,
         # which changes no element.  It covers only the suffix.
         d_prefix = np.concatenate([[0.0], np.cumsum(deltas)])
-        d_at_h = d_prefix.take(tiers.ks_h)
+        d_at_h = d_prefix.take(tiers.run_h)
         contrib = self._yss[p, rows][:, None] * (
-            d_prefix.take(tiers.ks_w) - d_at_h
-        )
+            d_prefix.take(tiers.run_w) - d_at_h
+        ).take(tiers.run)
         h0 = tiers.dc_start
         if h0 < times.size:
-            contrib[:, h0:] += self._dc[p, rows][:, None] * d_at_h[h0:]
+            contrib[:, h0:] += (
+                self._dc[p, rows][:, None] * d_at_h.take(tiers.run[h0:])
+            )
 
         # Slow tier: complex prefix sums of δ e^{−λ(t_e − o_c)} per
         # chunk, differenced between each sample's tier bounds, times
@@ -762,22 +847,38 @@ class CompiledChipKernel:
         # multiply under FMA rounds differently with its operands
         # swapped, and numpy reuses an unnamed temporary of 256 KiB or
         # more in place, computing ``diff * phases`` for large grids and
-        # ``phases * diff`` for small ones.  Naming the difference, or
-        # writing the product in place, moves the blocks' last bits.
+        # ``phases * diff`` for small ones.  Naming the per-sample
+        # differences, or writing the product in place, moves the
+        # blocks' last bits.
         contrib += (
             (phases * (
-                p_prefix.take(tiers.slow_w, axis=0)
-                - p_prefix.take(tiers.slow_h, axis=0)
-            ))
+                p_prefix.take(tiers.run_slow_w, axis=0)
+                - p_prefix.take(tiers.run_slow_h, axis=0)
+            ).take(tiers.run, axis=0))
             @ mgw_p
         ).real.T
 
         # Window tier: per observed row, gather the row's contiguous
         # value and slope tables at every (sample, edge) pair's knot,
         # interpolate, weight by the pair's edge delta and
-        # scatter-accumulate onto the samples.
-        if tiers.win_sample is not None:
-            d_pair = np.repeat(deltas[tiers.win_active], tiers.win_lengths)
+        # scatter-accumulate onto the samples.  The interpolation is
+        # timing only: on a tier an earlier solve built it is memoized,
+        # and the block multiplies it by the deltas (the same product as
+        # the in-place one below).  A tier's first solve keeps no copy,
+        # even when several ports share it, so timing that never repeats
+        # across solves costs no memory.
+        if tiers.win_sample is None:
+            return contrib
+        d_pair = np.repeat(deltas[tiers.win_active], tiers.win_lengths)
+        if reused:
+            key = ("interp", times_key, et_key, p, rows.tobytes())
+            interp = self._window_interp(tiers, key, p, rows)
+            for j in range(rows.size):
+                contrib[j] += np.bincount(
+                    tiers.win_sample, weights=interp[j] * d_pair,
+                    minlength=times.size,
+                )
+        else:
             idx, frac = tiers.win_idx, tiers.win_frac
             for j, row in enumerate(rows):
                 vals = self._wval[p, row].take(idx)

@@ -369,6 +369,62 @@ class TestMissPathBits:
         assert max(crowding) >= 20
 
 
+def rescaled(trains, scale):
+    """The same edge instants at other amplitudes."""
+    return [EdgeTrain(t.port, t.times, t.deltas * scale) for t in trains]
+
+
+class TestReusedTierBits:
+    """A block solved on a reused tier — whose window interpolation the
+    memo keeps — equals :func:`reference_block` bit for bit too."""
+
+    @pytest.mark.parametrize("name", sorted(MISS_PATH_STIMULI))
+    def test_blocks_match_reference(self, chip, library, monkeypatch, name):
+        trains, grid, nodes = MISS_PATH_STIMULI[name](chip)
+        kernel = CompiledChipKernel(library)
+        computed = []
+        original = kernel._port_contribution
+
+        def spy(*args):
+            computed.append((args, original(*args)))
+            return computed[-1][1]
+
+        monkeypatch.setattr(kernel, "_port_contribution", spy)
+        # Build the tier, then keep and reread the interpolated rows.
+        for scale in (1.0, 1.5, 0.25):
+            kernel.evaluate(rescaled(trains, scale), grid, nodes=nodes)
+        assert len(computed) == 3 * len({t.port for t in trains})
+        assert memo_sizes(kernel)["interp"]
+        for (seen, _, _, et, _, deltas, p, rows), block in computed:
+            reference = reference_block(kernel, seen, et, deltas, p, rows)
+            assert np.array_equal(
+                block.view(np.int64), reference.T.view(np.int64)
+            )
+
+    def test_first_use_keeps_no_interpolation(self, chip, library):
+        """Only a tier an earlier solve built keeps its interpolated
+        rows — not one the ports of a single stimulus share — and every
+        kind's bytes are accounted."""
+        kernel = CompiledChipKernel(library)
+        times = np.linspace(0.0, 10e-6, 512)
+        port = chip.core_ports[0]
+        kernel.evaluate(
+            [square_train(port), square_train(chip.core_ports[1])], times
+        )
+        assert set(memo_sizes(kernel)) == {"phase", "tier", "block"}
+        kernel.evaluate([square_train(port, delta=7.0)], times)
+        sizes = memo_sizes(kernel)
+        tiers = next(
+            value for key, (value, _) in kernel._memo._entries.items()
+            if key[0] == "tier"
+        )
+        assert sizes["interp"] == [
+            len(kernel.nodes) * tiers.win_sample.size * 8
+        ]
+        assert len(sizes["block"]) == 3
+        assert kernel._memo.nbytes == sum(map(sum, sizes.values()))
+
+
 class TestErrors:
     def test_unknown_port_raises(self, kernel):
         bogus = EdgeTrain("load_nowhere", np.array([0.0]), np.array([1.0]))
@@ -442,7 +498,10 @@ class TestContributionCache:
         self, chip, library, monkeypatch
     ):
         """A block read again between inserts survives; the older
-        unread one is evicted and rebuilt on its next read."""
+        unread one is evicted and rebuilt on its next read.  The four
+        trains share their edge instants, so the budget holds their
+        shared phase matrix, tier and window interpolation plus three
+        blocks."""
         times = np.linspace(0.0, 5e-6, 64)
         port = chip.core_ports[0]
         a, b, c, d = (
@@ -451,10 +510,12 @@ class TestContributionCache:
         )
         probe = CompiledChipKernel(library)
         probe.evaluate([a], times)
+        probe.evaluate([b], times)  # the reused tier keeps interpolation
         sizes = memo_sizes(probe)
         monkeypatch.setattr(
             kernels, "_MEMO_BYTES",
-            sizes["phase"][0] + sizes["tier"][0] + 3 * sizes["block"][0],
+            sizes["phase"][0] + sizes["tier"][0] + sizes["interp"][0]
+            + 3 * sizes["block"][0],
         )
         kernel = CompiledChipKernel(library)
         solved = count_solved_blocks(kernel, monkeypatch)

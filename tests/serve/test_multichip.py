@@ -189,9 +189,10 @@ class TestResidencyAndEviction:
         self, chip, cheap_options, telemetry, monkeypatch
     ):
         """The residency budget bounds memory: rotating small members
-        through one resident slot frees each evicted chip and its
-        kernel, identical live chips share one kernel, and in-process
-        execution runs on the built chip instead of building another."""
+        through one resident slot frees each evicted chip, its kernel
+        and the stimulus timing its kernel memoized, identical live
+        chips share one kernel, and in-process execution runs on the
+        built chip instead of building another."""
         built = []  # class names: holding the chips would keep them alive
         original_init = Chip.__init__
 
@@ -214,16 +215,22 @@ class TestResidencyAndEviction:
                 reply = svc.handle({**simulate_payload(), "chip": spec.name})
                 assert reply["ok"] and reply["tier"] == "executed"
                 member = svc.roster.resolve(spec.name).chip
-                refs.append((
-                    weakref.ref(member), weakref.ref(member.compiled_kernel)
-                ))
-            del member
+                kernel = member.compiled_kernel
+                grids = [
+                    weakref.ref(value)
+                    for key, (value, _) in kernel._memo._entries.items()
+                    if key[0] == "grid"
+                ]
+                assert grids  # the execution memoized its sample grid
+                refs.append((weakref.ref(member), weakref.ref(kernel), grids))
+            del member, kernel
             assert len(built) == len(specs)  # one build each, no rerun
             assert svc.roster.stats()["evictions"] == len(specs) - 1
             gc.collect()
-            for chip_ref, kernel_ref in refs[:-1]:
+            for chip_ref, kernel_ref, grids in refs[:-1]:
                 assert chip_ref() is None
                 assert kernel_ref() is None
+                assert all(grid() is None for grid in grids)
             live = svc.roster.resolve(specs[-1].name).chip
             assert refs[-1][0]() is live
             assert specs[-1].build().compiled_kernel is live.compiled_kernel

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -19,11 +20,14 @@ from repro.core import generator as generator_module
 from repro.engine.cache import ResultCache
 from repro.experiments import common
 from repro.faults import FaultPlan
+from repro.machine.chip import Chip
+from repro.machine.runner import RunOptions
 from repro.mbench import target as target_module
 from repro.obs import Telemetry
+from repro.pdn import kernels
 from repro.serve import SimulationService
 
-from .conftest import simulate_payload
+from .conftest import program_payload, simulate_payload
 
 
 def _spin_until(predicate, timeout=10.0, what="condition"):
@@ -115,6 +119,59 @@ class TestTiers:
         assert replay["tier"] == "cache"
         assert replay["result"] == first["result"]
         assert telemetry_b.counter("engine.runs_executed") == 0
+
+    def test_requests_sharing_a_timing_equal_fresh_services(
+        self, chip, monkeypatch
+    ):
+        """Two novel requests that differ only in ``i_high`` share their
+        stimulus timing: the second reads every segment's grid from the
+        first's (``engine.timing.hits``, shown by the ``metrics`` verb),
+        and each reply equals a fresh service's on a fresh chip."""
+        options = RunOptions(segments=4, base_samples=512)
+        payloads = [
+            {"op": "simulate", "tag": "timing",
+             "mapping": [program_payload(i_high, 2.6e6)] * 2}
+            for i_high in (22.001, 22.002)
+        ]
+
+        def start(chip):
+            telemetry = Telemetry()
+            return SimulationService(
+                chip, options,
+                cache=ResultCache(cache_dir=None, telemetry=telemetry),
+                jobs=1, telemetry=telemetry,
+            ).start()
+
+        def timing(svc) -> tuple[int, int]:
+            counters = svc.handle({"op": "metrics"})["metrics"]["counters"]
+            return (
+                counters.get("engine.timing.hits", 0),
+                counters.get("engine.timing.misses", 0),
+            )
+
+        chip.compiled_kernel  # compiled into the process-wide memo
+        shared = start(chip)
+        try:
+            first = shared.handle(payloads[0])
+            hits, misses = timing(shared)
+            second = shared.handle(payloads[1])
+            assert timing(shared) == (hits + options.segments, misses)
+        finally:
+            shared.stop()
+
+        for payload, reply in zip(payloads, (first, second)):
+            # A kernel memo of its own: the fresh chip shares no kernel.
+            monkeypatch.setattr(
+                kernels, "_KERNEL_CACHE", weakref.WeakValueDictionary()
+            )
+            fresh = start(Chip(chip.config, chip.chip_id))
+            try:
+                alone = fresh.handle(payload)
+                assert timing(fresh) == (0, options.segments)
+            finally:
+                fresh.stop()
+            assert reply["tier"] == alone["tier"] == "executed"
+            assert reply["result"] == alone["result"]
 
     def test_distinct_requests_distinct_fingerprints(self, service):
         a = service.handle(simulate_payload(i_high=25.0))
