@@ -17,11 +17,11 @@ from repro.machine.chip import reference_chip
 from repro.machine.runner import ChipRunner, RunOptions, WAVEFORM_EXTRA_NODES
 from repro.machine.workload import CurrentProgram, SyncSpec
 from repro.pdn.kernels import KERNEL_TOLERANCE_V
-from repro.pdn.mna import simulate_transient
 from repro.pdn.state_space import ModalSystem, build_state_space
-from repro.pdn.superposition import assemble_voltage
 from repro.pdn.topology import build_chip_netlist
 from repro.pdn.zec12 import reference_chip_parameters
+from tests.oracles.mna import simulate_transient
+from tests.oracles.superposition import assemble_voltage
 
 
 def _oracle_solve(runner, batch, nodes):

@@ -5,8 +5,9 @@ The library rebuilds, in simulation, the full system behind the paper's
 measurement study:
 
 * :mod:`repro.pdn` — lumped RLC power-delivery-network solvers
-  (state-space/modal, trapezoidal MNA, impedance profiles, LTI
-  superposition) and the calibrated six-core reference chip topology;
+  (state-space/modal, impedance profiles, the compiled per-chip kernel
+  that superposes ramp responses) and the calibrated six-core
+  reference chip topology;
 * :mod:`repro.isa` / :mod:`repro.uarch` — a synthetic 1301-instruction
   mainframe-class CISC ISA and the core model (dispatch groups,
   functional units, throughput and energy);

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..engine.executor import Executor, make_executor
+from ..engine.executor import make_executor
 from ..engine.resilience import RetryPolicy
 from ..errors import ExecutionError, ExperimentError
 from ..machine.chip import ChipConfig, Chip
@@ -81,8 +81,6 @@ def run_population_study(
     name: str,
     n_chips: int = 8,
     config: ChipConfig | None = None,
-    executor: Executor | None = None,
-    jobs: int | None = None,
     retry: RetryPolicy | None = None,
 ) -> PopulationStatistic:
     """Evaluate *metric* on *n_chips* chip instances.
@@ -90,18 +88,17 @@ def run_population_study(
     Each chip gets its own variation draw (``chip_id`` 0..n-1 under the
     shared seed); the metric receives a fully built :class:`Chip`.
     Chips are independent, so the evaluations fan out over the engine
-    executor (a prebuilt *executor*, else one for *jobs* /
-    ``$REPRO_JOBS``); results are identical to serial execution since
-    every chip derives its own named random streams.  Per-chip evaluations execute under *retry*
-    (env default): a flaky worker is retried and a broken pool degrades
-    to serial, but a population with a permanently failing chip raises
-    — a spread statistic over a partial population would silently lie.
+    executor (``$REPRO_JOBS`` sizes it); results are identical to serial
+    execution since every chip derives its own named random streams.
+    Per-chip evaluations execute under *retry* (env default): a flaky
+    worker is retried and a broken pool degrades to serial, but a
+    population with a permanently failing chip raises — a spread
+    statistic over a partial population would silently lie.
     """
     if n_chips < 2:
         raise ExperimentError("a population needs at least two chips")
     config = config or ChipConfig()
-    if executor is None:
-        executor = make_executor(jobs)
+    executor = make_executor()
     retry = retry or RetryPolicy.from_env()
     telemetry = get_telemetry()
     telemetry.increment("population.chips", n_chips)

@@ -32,7 +32,7 @@ from .candidates import select_candidates
 from .sequences import enumerate_sequences
 from .filters import FilterStats, ipc_filter, microarch_filter
 from .search import MaxPowerSearchResult, search_max_power_sequence
-from .minpower import min_power_program, min_power_sequence
+from .minpower import min_power_sequence
 from .mediumpower import medium_power_sequence
 from .stressmark import DidtStressmark, StressmarkBuilder, StressmarkSpec
 from .sync import spread_offsets, offset_assignments
@@ -52,7 +52,6 @@ __all__ = [
     "MaxPowerSearchResult",
     "search_max_power_sequence",
     "min_power_sequence",
-    "min_power_program",
     "medium_power_sequence",
     "StressmarkSpec",
     "DidtStressmark",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..engine.cache import ResultCache, global_cache
-from ..engine.executor import Executor, make_executor
+from ..engine.executor import make_executor
 from ..engine.fingerprint import content_key
 from ..engine.resilience import RetryPolicy
 from ..errors import ExecutionError, GenerationError
@@ -83,8 +83,6 @@ def genetic_max_power_search(
     length: int = DEFAULT_SEQUENCE_LENGTH,
     seed: int = 0,
     cache: ResultCache | None = None,
-    executor: Executor | None = None,
-    jobs: int | None = None,
     retry: RetryPolicy | None = None,
 ) -> GeneticSearchResult:
     """GA over length-*length* sequences of *candidates*, maximizing
@@ -109,8 +107,7 @@ def genetic_max_power_search(
     meter = meter or PowerMeter(target)
     if cache is None:
         cache = global_cache()
-    if executor is None:
-        executor = make_executor(jobs)
+    executor = make_executor()
     retry = retry or RetryPolicy.from_env()
     telemetry = get_telemetry()
     rng = stream(seed, "ga", "search")

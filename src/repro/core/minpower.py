@@ -16,27 +16,11 @@ so its loop sits at the machine's floor power.
 from __future__ import annotations
 
 from ..isa.instruction import InstructionDef
-from ..mbench.loops import build_sequence_loop
-from ..mbench.program import Program
-from ..mbench.target import Target
 from .epi import EpiProfile
 
-__all__ = ["min_power_sequence", "min_power_program"]
+__all__ = ["min_power_sequence"]
 
 
 def min_power_sequence(profile: EpiProfile) -> tuple[InstructionDef, ...]:
     """The minimum-power sequence: the ranking's last instruction."""
     return (profile.last.instruction,)
-
-
-def min_power_program(
-    profile: EpiProfile, target: Target, unroll: int = 1
-) -> Program:
-    """A runnable loop of the minimum-power sequence."""
-    return build_sequence_loop(
-        target.isa,
-        min_power_sequence(profile),
-        unroll=unroll,
-        name="min-power",
-        close_with_branch=False,
-    )

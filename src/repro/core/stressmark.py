@@ -181,13 +181,6 @@ class StressmarkBuilder:
         low_reps = max(int(round(low_cycles / self._low_cycles)), 1)
         return high_reps, low_reps
 
-    def max_feasible_frequency(self) -> float:
-        """Stimulus frequency at which each phase shrinks to a single
-        sequence repetition — beyond it the loop cannot alternate any
-        faster and the achieved ΔI collapses."""
-        min_period_cycles = self._high_cycles + self._low_cycles
-        return self.target.core.clock_hz / min_period_cycles
-
     #: Cap on the number of sequence copies materialized per phase in
     #: the inspectable program.  Real low-frequency stressmarks wrap the
     #: phase in an outer count loop; the electrical behavior depends on

@@ -164,9 +164,6 @@ class CampaignManifest:
             if isinstance(entry, dict) and entry.get("status") == "complete"
         }
 
-    def is_complete(self, point_id: str) -> bool:
-        return point_id in self.completed
-
     def statuses(self) -> dict[str, str]:
         """Point id → status for every recorded point."""
         return {

@@ -17,7 +17,6 @@ from .registry import (
     compile_family_campaign,
     compile_plan,
     get_experiment,
-    run_experiment,
 )
 from .common import (
     ExperimentContext,
@@ -33,7 +32,6 @@ __all__ = [
     "compile_family_campaign",
     "compile_plan",
     "get_experiment",
-    "run_experiment",
     "ExperimentContext",
     "context_for_spec",
     "default_context",

@@ -33,7 +33,6 @@ __all__ = [
     "register",
     "get_experiment",
     "all_experiments",
-    "run_experiment",
     "compile_plan",
     "compile_campaign",
     "compile_family_campaign",
@@ -229,11 +228,3 @@ def _entry(experiment_id: str) -> tuple[str, ExperimentFn, Callable]:
 def get_experiment(experiment_id: str) -> ExperimentFn:
     """The driver function for *experiment_id*."""
     return _entry(experiment_id)[1]
-
-
-def run_experiment(
-    experiment_id: str, context: ExperimentContext | None = None
-) -> ExperimentResult:
-    """Run one experiment (building the default context if needed)."""
-    driver = get_experiment(experiment_id)
-    return driver(context or default_context())

@@ -25,7 +25,6 @@ from .harness import (
     FaultyExecutor,
     InjectedCrash,
     InjectedFault,
-    InjectedHang,
     corrupt_cache_entries,
     reset_fault_memo,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "FaultyExecutor",
     "InjectedFault",
     "InjectedCrash",
-    "InjectedHang",
     "corrupt_cache_entries",
     "reset_fault_memo",
 ]

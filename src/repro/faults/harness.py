@@ -37,7 +37,6 @@ from .plan import FaultPlan
 __all__ = [
     "InjectedFault",
     "InjectedCrash",
-    "InjectedHang",
     "FaultyExecutor",
     "fault_key",
     "corrupt_cache_entries",
@@ -52,11 +51,6 @@ class InjectedFault(ReproError):
 class InjectedCrash(InjectedFault):
     """Stand-in for a dead worker when the run executes in the main
     process (where a real ``os._exit`` would kill the campaign)."""
-
-
-class InjectedHang(InjectedFault):
-    """Marker type for hang injection (not raised; hangs manifest as
-    stalls and surface as :class:`~repro.errors.RunTimeoutError`)."""
 
 
 #: Exit status of workers killed by crash injection (visible in the

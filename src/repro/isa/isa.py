@@ -1,8 +1,7 @@
-"""ISA container with lookup and categorization helpers."""
+"""ISA container with mnemonic lookup."""
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable, Iterator
 
 from ..errors import IsaError
@@ -12,12 +11,8 @@ __all__ = ["Isa"]
 
 
 class Isa:
-    """An immutable collection of instruction definitions.
-
-    Provides mnemonic lookup and the categorizations used by the
-    stressmark-generation methodology (by family, functional unit and
-    issue class).
-    """
+    """An immutable collection of instruction definitions, iterable in
+    definition order and indexed by mnemonic."""
 
     def __init__(self, name: str, instructions: Iterable[InstructionDef]):
         self.name = name
@@ -50,29 +45,6 @@ class Isa:
     def mnemonics(self) -> list[str]:
         """All mnemonics in definition order."""
         return [inst.mnemonic for inst in self._ordered]
-
-    # -- categorizations ------------------------------------------------
-    def by_family(self) -> dict[str, list[InstructionDef]]:
-        """Instructions grouped by generation family."""
-        groups: dict[str, list[InstructionDef]] = defaultdict(list)
-        for inst in self._ordered:
-            groups[inst.family].append(inst)
-        return dict(groups)
-
-    def by_unit(self) -> dict[str, list[InstructionDef]]:
-        """Instructions grouped by primary functional unit."""
-        groups: dict[str, list[InstructionDef]] = defaultdict(list)
-        for inst in self._ordered:
-            groups[inst.unit].append(inst)
-        return dict(groups)
-
-    def by_issue_class(self) -> dict[str, list[InstructionDef]]:
-        """Instructions grouped by issue class (the categorization the
-        stressmark candidate selection uses)."""
-        groups: dict[str, list[InstructionDef]] = defaultdict(list)
-        for inst in self._ordered:
-            groups[inst.issue_class].append(inst)
-        return dict(groups)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Isa({self.name!r}, {len(self)} instructions)"

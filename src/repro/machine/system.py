@@ -1,9 +1,9 @@
-"""Service element: platform control and monitoring.
+"""Service element: platform voltage control.
 
 The evaluation platform's management console controls chip voltage in
-0.5 % steps of nominal and monitors per-device power with milliwatt
-granularity.  :class:`ServiceElement` models that control surface; the
-Vmin experiment (:mod:`repro.measure.vmin`) drives it.
+0.5 % steps of nominal.  :class:`ServiceElement` models that control
+surface; the Vmin experiment (:mod:`repro.measure.vmin`) drives it.
+(Its milliwatt power monitoring is :class:`~repro.measure.PowerMeter`.)
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ VOLTAGE_STEP = 0.005
 
 
 class ServiceElement:
-    """Control/monitoring console attached to one chip."""
+    """Voltage-control console attached to one chip."""
 
     def __init__(self, chip: Chip):
         self.chip = chip
@@ -29,11 +29,6 @@ class ServiceElement:
     def bias(self) -> float:
         """Current multiplicative voltage bias (1.0 = nominal)."""
         return 1.0 + self._bias_steps * VOLTAGE_STEP
-
-    @property
-    def supply_voltage(self) -> float:
-        """Current VRM setpoint (V)."""
-        return self.chip.vnom * self.bias
 
     def set_bias_steps(self, steps: int) -> None:
         """Set the bias in whole 0.5 % steps (negative = undervolt)."""
@@ -51,15 +46,3 @@ class ServiceElement:
     def reset_voltage(self) -> None:
         """Return to nominal voltage (after a failure/reboot)."""
         self._bias_steps = 0
-
-    # -- power monitoring --------------------------------------------------
-    def read_power(self, core_powers_w: list[float], nest_power_w: float = 26.0) -> float:
-        """Chip input-rail power reading (W), quantized to milliwatts.
-
-        ``core_powers_w`` are the modeled per-core powers; the service
-        element sees their sum plus the nest.
-        """
-        if len(core_powers_w) != len(self.chip.core_nodes):
-            raise ConfigError("need one power value per core")
-        total = sum(core_powers_w) + nest_power_w
-        return round(total, 3)  # milliwatt granularity

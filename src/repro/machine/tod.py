@@ -69,13 +69,3 @@ class TodClock:
                 f"{self.step}s TOD step"
             )
         return round(steps) * self.step
-
-    def next_sync(self, after_s: float, offset_s: float = 0.0) -> float:
-        """First spin-loop exit time at or after *after_s*.
-
-        ``offset_s`` is the programmed misalignment: the modified exit
-        condition fires that much after each base sync point.
-        """
-        offset = self.quantize_offset(offset_s)
-        base = math.ceil(max(after_s - offset, 0.0) / self.sync_interval)
-        return base * self.sync_interval + offset

@@ -110,13 +110,6 @@ class CurrentProgram:
             return True
         return (1.0 / self.freq_hz) > self.sync.interval
 
-    @property
-    def average_current(self) -> float:
-        """Time-averaged current over a burst (A)."""
-        if self.is_steady:
-            return self.i_low
-        return self.i_low + self.duty * self.delta_i
-
     def with_sync(self, sync: SyncSpec | None) -> "CurrentProgram":
         """Copy with a different synchronization specification."""
         return replace(self, sync=sync)

@@ -64,11 +64,3 @@ class PowerMeter:
         noise = 1.0 + float(rng.normal(0.0, self.noise_sigma)) if self.noise_sigma else 1.0
         self.simulated_seconds += self.dwell_s
         return round(true_power * noise * self._session_factor, 3)
-
-    def measure_average(self, program: Program, repeats: int = 3) -> float:
-        """Average of *repeats* readings (the paper averages repeated
-        runs)."""
-        if repeats < 1:
-            raise MeasurementError("need at least one reading")
-        readings = [self.measure(program, tag) for tag in range(repeats)]
-        return sum(readings) / len(readings)

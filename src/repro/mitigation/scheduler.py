@@ -91,11 +91,3 @@ class NoiseAwareScheduler:
         """Voltage margin (V) the noise-aware placement saves."""
         placement = self.place(n_workloads)
         return placement.noise_saved * self.volts_per_p2p_point
-
-    def opportunity_profile(self) -> dict[int, float]:
-        """Noise-saving headroom per workload count (the Figure 15
-        series)."""
-        return {
-            count: self.study(count).reduction_opportunity
-            for count in range(self.chip.n_cores + 1)
-        }

@@ -42,13 +42,6 @@ class ThrottleOutcome:
         """%p2p points removed."""
         return self.baseline.max_p2p - self.throttled.max_p2p
 
-    @property
-    def points_per_throughput_pct(self) -> float:
-        """Noise points bought per percent of throughput given up."""
-        if self.throughput_cost == 0:
-            return float("inf") if self.noise_reduction > 0 else 0.0
-        return self.noise_reduction / (100.0 * self.throughput_cost)
-
 
 @dataclass
 class GlobalDidtThrottle:

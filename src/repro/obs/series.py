@@ -16,10 +16,9 @@ current state against the previous tick, and keeps the resulting
   distribution of just that window, from which
   :func:`bucket_percentile` interpolates p50/p95/p99.
 
-A series can tick a live in-process :class:`Telemetry` (the serve
-metrics ticker) or wire-shape snapshot dicts (``repro-noise top``
-polling a remote ``metrics`` verb) — both reduce to the same state
-shape via :func:`series_state`.
+The serve metrics ticker ticks a series from its live
+:class:`Telemetry`, reduced by :func:`series_state`; the fleet's live
+status ticks one from counters summed over its workers' sidecars.
 
 Counter resets (a restarted service, ``Telemetry.reset``) surface as a
 negative delta; the series re-baselines and skips that window instead
@@ -226,10 +225,6 @@ class TelemetrySeries:
         if self.source is None:
             raise ValueError("series has no attached source; use tick_state")
         return self.tick_state(series_state(self.source), now)
-
-    def tick_snapshot(self, snapshot: dict, now: float | None = None):
-        """Tick from a wire-shape snapshot dict (remote polling)."""
-        return self.tick_state(series_state(snapshot), now)
 
     def tick_state(self, state: dict, now: float | None = None):
         now = time.time() if now is None else float(now)

@@ -2,23 +2,22 @@
 
 The paper characterizes voltage noise on real silicon; this package
 replaces the physical chip/package/board power delivery path with a
-lumped-element RLC network (Figure 2 of the paper) that is solved three
+lumped-element RLC network (Figure 2 of the paper) that is solved two
 ways:
 
 * exactly, via a state-space/modal decomposition (:mod:`.state_space`),
   which powers fast step-response evaluation and frequency-domain
   impedance profiles;
 * by precompiled per-chip kernels (:mod:`.kernels`), which factor the
-  superposition of precomputed ramp responses into modal prefix sums
-  so a run's segments amortize to a single stacked solve — the one
-  solver every production run uses.
+  superposition of precomputed ramp responses over current edge trains
+  (:mod:`.superposition`) into modal prefix sums so a run's segments
+  amortize to a single stacked solve — the one solver every production
+  run uses.
 
 Two oracles check that solver in the test suite and the solver
-benchmarks: per-edge linear superposition of the ramp responses
-(:func:`.superposition.assemble_voltage`) and a trapezoidal
-modified-nodal-analysis transient engine (:mod:`.mna`).  The MNA
-engine needs scipy, so it is not imported here: import it as
-``repro.pdn.mna``.
+benchmarks, and ship with the tests, not here (``tests/oracles/``):
+per-edge linear superposition of the ramp responses and a trapezoidal
+modified-nodal-analysis transient engine.
 
 :mod:`.topology` builds the multi-core chip network of the paper's
 evaluation platform (two on-chip voltage domains, six cores, the large
@@ -32,7 +31,7 @@ from .netlist import Netlist
 from .state_space import StateSpace, build_state_space
 from .impedance import ImpedanceProfile, impedance_profile, find_resonances
 from .response import ResponseLibrary
-from .superposition import EdgeTrain, assemble_voltage, edges_from_square_wave
+from .superposition import EdgeTrain, edges_from_square_wave
 from .kernels import (
     KERNEL_TOLERANCE_V,
     CompiledChipKernel,
@@ -64,7 +63,6 @@ __all__ = [
     "library_fingerprint",
     "KERNEL_TOLERANCE_V",
     "EdgeTrain",
-    "assemble_voltage",
     "edges_from_square_wave",
     "ChipPdnParameters",
     "build_chip_netlist",

@@ -1,7 +1,7 @@
 """Precompiled per-chip solve kernels: the production PDN solver.
 
-Per-edge superposition (:func:`~repro.pdn.superposition.assemble_voltage`,
-the oracle the tests compare this kernel against) interpolates one
+Per-edge superposition (``tests/oracles/superposition.py``, the oracle
+the tests compare this kernel against) interpolates one
 ramp-response table per *edge* — ``O(edges × samples)`` table lookups
 per node.  Because the PDN is LTI and its spectrum has a
 clean gap between a handful of slow board/package modes and the fast

@@ -13,8 +13,8 @@ branches are resistors or series R-L) admits a clean state-space model:
 From ``dx/dt = A x + B u`` the library computes exact step responses via
 eigendecomposition (:class:`ModalSystem`) and exact frequency responses
 ``H(jω) = P (jωI − A)^{-1} B + Q`` — no numerical integration involved.
-A trapezoidal transient engine lives in :mod:`repro.pdn.mna` and is used
-as an independent cross-check.
+A trapezoidal transient engine (``tests/oracles/mna.py``) cross-checks
+it in the test suite.
 """
 
 from __future__ import annotations

@@ -1,28 +1,22 @@
-"""Assemble multi-core voltage waveforms by LTI superposition.
+"""Current edge trains: the stimulus every PDN solve superposes.
 
 A stressmark run is, electrically, a set of current **edge trains**: each
 core's activity is a piecewise-constant current whose transitions (the
 paper's ΔI events) are ramps with the pipeline's power rise time.
 Because the PDN is linear and time invariant, the voltage at any node is
-the superposition of scaled, shifted ramp responses — evaluated here from
-a precomputed :class:`~repro.pdn.response.ResponseLibrary`.
-
-This is orders of magnitude faster than re-integrating the network for
-every stressmark configuration, and it is *exact* for the lumped model
-(up to interpolation of the sampled responses).
+the superposition of scaled, shifted ramp responses, one per edge; the
+compiled chip kernel (:mod:`repro.pdn.kernels`) evaluates that sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from ..errors import SolverError
-from .response import ResponseLibrary
 
-__all__ = ["EdgeTrain", "edges_from_square_wave", "assemble_voltage"]
+__all__ = ["EdgeTrain", "edges_from_square_wave"]
 
 
 @dataclass
@@ -42,10 +36,6 @@ class EdgeTrain:
         self.deltas = np.asarray(self.deltas, dtype=float)
         if self.times.shape != self.deltas.shape:
             raise SolverError("edge times and deltas must have matching shapes")
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.times.size)
 
     def shifted(self, offset: float) -> "EdgeTrain":
         """A copy of the train delayed by *offset* seconds."""
@@ -93,45 +83,3 @@ def edges_from_square_wave(
     deltas[0::2] = +effective
     deltas[1::2] = -effective
     return EdgeTrain(port, times, deltas)
-
-
-def assemble_voltage(
-    library: ResponseLibrary,
-    node: str,
-    trains: list[EdgeTrain],
-    times: np.ndarray,
-    baseline: Mapping[str, float] | None = None,
-) -> np.ndarray:
-    """Voltage *deviation* waveform at *node* produced by the edge trains.
-
-    Parameters
-    ----------
-    library:
-        Precomputed responses (must cover every train's port and *node*).
-    trains:
-        Current edge trains, one or more per load port.
-    times:
-        Sample instants (s).
-    baseline:
-        Optional constant load per port (A); adds the steady (IR) shift
-        via the DC gains.  Peak-to-peak noise is unaffected by it, but
-        absolute levels (for Vmin experiments) need it.
-
-    Returns
-    -------
-    numpy.ndarray
-        Deviation from the unloaded node voltage at each sample instant
-        (negative values are droops).
-    """
-    times = np.asarray(times, dtype=float)
-    voltage = np.zeros_like(times)
-    for train in trains:
-        for t_edge, delta in zip(train.times, train.deltas):
-            if delta == 0.0:
-                continue
-            voltage += delta * library.ramp(train.port, node, times - t_edge)
-    if baseline:
-        for port, amps in baseline.items():
-            if amps:
-                voltage += amps * library.dc(port, node)
-    return voltage

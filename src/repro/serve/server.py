@@ -284,6 +284,10 @@ class SimulationService:
             self._ticker is None or not self._ticker.is_alive()
         ):
             self._ticker_stop.clear()
+            # A series' first tick only records its baseline: take it
+            # as the ticker starts, so the first window counts what the
+            # service does from here on.
+            self.tick_metrics()
             self._ticker = threading.Thread(
                 target=self._tick_loop, name="repro-serve-ticker", daemon=True
             )

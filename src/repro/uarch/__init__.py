@@ -12,10 +12,8 @@ that the stressmark methodology depends on:
 * **steady-state loop throughput** (:mod:`.throughput`) — an analytic
   model of µops-per-cycle for an endless loop body, limited by dispatch
   groups, per-unit capacity (including non-pipelined dividers) and
-  serializing instructions.
-* **a cycle-level pipeline simulator** (:mod:`.pipeline`) — an
-  independent execution model used to validate the analytic throughput
-  and to produce per-cycle energy traces (power ramp shapes).
+  serializing instructions.  A cycle-level pipeline simulator, its
+  test oracle, ships with the tests (``tests/oracles/pipeline.py``).
 * **the energy/power model** (:mod:`.energy`, :mod:`.power`) —
   per-µop energies are derived from the ISA's relative power weights so
   that a measured single-instruction loop reproduces the Table I
@@ -29,7 +27,6 @@ from .grouping import form_groups
 from .throughput import LoopProfile, analyze_loop
 from .energy import EnergyModel
 from .power import PowerEstimate, estimate_loop_power
-from .pipeline import PipelineResult, simulate_loop
 
 __all__ = [
     "CoreConfig",
@@ -40,6 +37,4 @@ __all__ = [
     "EnergyModel",
     "PowerEstimate",
     "estimate_loop_power",
-    "PipelineResult",
-    "simulate_loop",
 ]

@@ -93,11 +93,6 @@ class EnergyModel:
         return self.total_power(body) / self.config.vnom
 
     @property
-    def idle_power(self) -> float:
-        """Power of an idling core (static only)."""
-        return self.config.static_power_w
-
-    @property
     def idle_current(self) -> float:
         """Idle supply current (A)."""
         return self.config.static_power_w / self.config.vnom

@@ -19,7 +19,7 @@ from typing import Sequence
 from ..isa.instruction import InstructionDef
 from .resources import CoreConfig
 
-__all__ = ["form_groups", "average_group_size"]
+__all__ = ["form_groups"]
 
 
 def form_groups(
@@ -53,13 +53,3 @@ def form_groups(
             close()
     close()
     return groups
-
-
-def average_group_size(
-    body: Sequence[InstructionDef], config: CoreConfig
-) -> float:
-    """Average dispatch-group size of one loop iteration of *body*."""
-    groups = form_groups(body, config)
-    if not groups:
-        return 0.0
-    return len(body) / len(groups)

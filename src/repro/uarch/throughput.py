@@ -15,8 +15,8 @@ by three mechanisms:
 
 The model returns the binding bottleneck, which the paper's IPC
 filtering stage exploits ("it is well-known that IPC is directly
-related to power").  The cycle-level simulator in
-:mod:`repro.uarch.pipeline` validates this model in the test suite.
+related to power").  A cycle-level pipeline simulator
+(``tests/oracles/pipeline.py``) validates this model in the test suite.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ __all__ = [
     "PF", "NF", "UF", "MF",
     "MOHM", "UOHM",
     "KB", "MB",
-    "format_si", "format_freq", "format_time", "parse_freq",
+    "format_si", "format_freq", "format_time",
 ]
 
 # Frequency multipliers.
@@ -84,24 +84,3 @@ def format_freq(hz: float, digits: int = 3) -> str:
 def format_time(seconds: float, digits: int = 3) -> str:
     """Format a duration (``62.5ns``, ``4ms``)."""
     return format_si(seconds, "s", digits)
-
-
-_FREQ_SUFFIXES = {
-    "ghz": GHZ,
-    "mhz": MHZ,
-    "khz": KHZ,
-    "hz": 1.0,
-}
-
-
-def parse_freq(text: str) -> float:
-    """Parse a human frequency string (``"2MHz"``, ``"40 kHz"``, ``"1e6"``)
-    into hertz.
-
-    Raises :class:`ValueError` on garbage input.
-    """
-    cleaned = text.strip().lower().replace(" ", "")
-    for suffix, scale in _FREQ_SUFFIXES.items():
-        if cleaned.endswith(suffix):
-            return float(cleaned[: -len(suffix)]) * scale
-    return float(cleaned)

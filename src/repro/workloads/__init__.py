@@ -1,25 +1,15 @@
 """Workload modeling beyond stressmarks.
 
 The paper's optimization discussion (§VII) reasons about *real* machine
-load: customer codes whose ΔI reaches only ~80 % of the stressmarks',
-utilization that varies over time, and schedulers that decide where
-work lands.  This package provides those abstractions:
-
-* :mod:`.profiles` — named synthetic workload profiles (steady
-  services, bursty batch jobs, resonant-risk codes, idle) that compile
-  to :class:`~repro.machine.workload.CurrentProgram` via the core's
-  power model;
-* :mod:`.traces` — utilization traces (active-core counts over time)
-  used by the dynamic guard-banding controller.
+load, including utilization that varies over time.  :mod:`.traces`
+provides utilization traces (active-core counts over time) for the
+dynamic guard-banding controller.  The paper's 80 %-ΔI customer
+workload is :func:`repro.analysis.margins.customer_program`.
 """
 
-from .profiles import WorkloadProfile, build_profile_library, compile_profile
 from .traces import UtilizationTrace, synthetic_utilization_trace
 
 __all__ = [
-    "WorkloadProfile",
-    "build_profile_library",
-    "compile_profile",
     "UtilizationTrace",
     "synthetic_utilization_trace",
 ]

@@ -49,12 +49,6 @@ class UtilizationTrace:
         """Average fraction of cores active."""
         return float(self.counts.mean() / self.n_cores)
 
-    def occupancy_shares(self) -> dict[int, float]:
-        """Fraction of time spent at each active-core count (sums to 1)."""
-        values, counts = np.unique(self.counts, return_counts=True)
-        total = self.counts.size
-        return {int(v): float(c) / total for v, c in zip(values, counts)}
-
 
 def synthetic_utilization_trace(
     seed: int = 0,

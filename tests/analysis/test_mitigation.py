@@ -59,10 +59,10 @@ class TestScheduler:
         ]
 
     def test_opportunity_profile_shape(self, scheduler):
-        profile = scheduler.opportunity_profile()
-        assert set(profile) == set(range(7))
-        assert profile[0] == 0.0
-        assert profile[6] == 0.0
+        # The Figure 15 series is zero at both ends: with no workload or
+        # every core busy there is one mapping, so nothing to choose.
+        assert scheduler.study(0).reduction_opportunity == 0.0
+        assert scheduler.study(6).reduction_opportunity == 0.0
 
     def test_invalid_count(self, scheduler):
         with pytest.raises(ExperimentError):
@@ -190,7 +190,6 @@ class TestThrottle:
         outcome = throttle.evaluate([didt()] * 6, options)
         assert outcome.noise_reduction > 0.0
         assert 0.0 < outcome.throughput_cost < 0.5
-        assert outcome.points_per_throughput_pct > 0.0
 
     def test_guards(self, chip):
         with pytest.raises(ExperimentError):

@@ -10,7 +10,7 @@ from repro.core.filters import (
     microarch_filter,
 )
 from repro.core.mediumpower import medium_power_sequence, target_power_sequence
-from repro.core.minpower import min_power_program, min_power_sequence
+from repro.core.minpower import min_power_sequence
 from repro.core.sequences import enumerate_sequences, sequence_space_size
 from repro.errors import GenerationError
 from repro.uarch.power import estimate_loop_power
@@ -136,10 +136,6 @@ class TestMinAndMediumPower:
         seq = min_power_sequence(generator.epi_profile)
         assert len(seq) == 1
         assert seq[0].mnemonic == generator.epi_profile.last.mnemonic
-
-    def test_min_program_builds(self, generator, target):
-        program = min_power_program(generator.epi_profile, target)
-        assert len(program.loop_body) == 1
 
     def test_medium_hits_midpoint(self, generator, target):
         dilution = generator.medium_dilution

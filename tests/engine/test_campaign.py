@@ -28,7 +28,7 @@ class TestManifest:
         assert manifest.path == tmp_path / MANIFEST_NAME
         assert manifest.completed == set()
         manifest.mark_started("fig7a")
-        assert not manifest.is_complete("fig7a")
+        assert "fig7a" not in manifest.completed
         manifest.mark_complete("fig7a", meta={"runs": 3})
         manifest.mark_started("fig9")
         manifest.mark_failed("fig10", "solver blew up")

@@ -66,7 +66,6 @@ class TestServiceElement:
         assert service.bias == 1.0
         service.step_down()
         assert service.bias == pytest.approx(1.0 - VOLTAGE_STEP)
-        assert service.supply_voltage == pytest.approx(chip.vnom * 0.995)
 
     def test_reset(self, chip):
         service = ServiceElement(chip)
@@ -80,13 +79,3 @@ class TestServiceElement:
             service.set_bias_steps(-100)
         with pytest.raises(ConfigError):
             service.set_bias_steps(1.5)  # not an int
-
-    def test_power_reading_quantized(self, chip):
-        service = ServiceElement(chip)
-        reading = service.read_power([20.0001234] * 6, nest_power_w=26.0)
-        assert reading == pytest.approx(146.001, abs=5e-4)
-
-    def test_power_reading_core_count_checked(self, chip):
-        service = ServiceElement(chip)
-        with pytest.raises(ConfigError):
-            service.read_power([20.0] * 5)

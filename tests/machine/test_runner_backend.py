@@ -1,6 +1,6 @@
 """The runner's solve path against its oracle: ``ChipRunner`` solves
 through the compiled kernel, and per-edge superposition
-(:func:`~repro.pdn.superposition.assemble_voltage`) solving the same
+(``tests/oracles/superposition.py``) solving the same
 ``build_stimulus`` output must agree within the kernel's pinned
 tolerance — measurements and collected waveforms alike."""
 
@@ -12,7 +12,8 @@ import pytest
 from repro.machine.runner import ChipRunner, RunOptions, WAVEFORM_EXTRA_NODES
 from repro.machine.workload import CurrentProgram, SyncSpec, idle_program
 from repro.pdn.kernels import KERNEL_TOLERANCE_V
-from repro.pdn.superposition import assemble_voltage
+
+from ..oracles.superposition import assemble_voltage
 
 
 def didt(i_low=14.0, i_high=32.0, freq=2.6e6, sync=False, offset=0.0):

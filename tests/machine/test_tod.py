@@ -42,18 +42,6 @@ class TestQuantizeOffset:
 
 
 class TestNextSync:
-    def test_first_sync_at_zero(self, tod):
-        assert tod.next_sync(0.0) == 0.0
-
-    def test_next_interval(self, tod):
-        assert tod.next_sync(1e-3) == pytest.approx(4e-3)
-        assert tod.next_sync(4e-3) == pytest.approx(4e-3)
-        assert tod.next_sync(4.1e-3) == pytest.approx(8e-3)
-
-    def test_programmed_offset_shifts_exit(self, tod):
-        assert tod.next_sync(0.0, offset_s=62.5e-9) == pytest.approx(62.5e-9)
-        assert tod.next_sync(1e-3, offset_s=125e-9) == pytest.approx(4e-3 + 125e-9)
-
     def test_invalid_configuration(self):
         with pytest.raises(ConfigError):
             TodClock(step=0.0)

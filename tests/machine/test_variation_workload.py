@@ -71,13 +71,11 @@ class TestCurrentProgram:
     def test_delta_and_average(self):
         prog = CurrentProgram("p", i_low=10.0, i_high=30.0, freq_hz=1e6, duty=0.5)
         assert prog.delta_i == 20.0
-        assert prog.average_current == 20.0
         assert not prog.is_steady
 
     def test_steady_when_no_frequency(self):
         prog = CurrentProgram("p", i_low=10.0, i_high=10.0)
         assert prog.is_steady
-        assert prog.average_current == 10.0
 
     def test_steady_when_no_swing(self):
         prog = CurrentProgram("p", i_low=10.0, i_high=10.0, freq_hz=1e6)

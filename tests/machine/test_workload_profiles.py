@@ -1,77 +1,10 @@
-"""Workload profile and utilization trace tests."""
+"""Utilization trace tests."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.workloads.profiles import (
-    WorkloadProfile,
-    build_profile_library,
-    compile_profile,
-)
 from repro.workloads.traces import UtilizationTrace, synthetic_utilization_trace
-
-
-class TestProfileDefinitions:
-    def test_library_contains_paper_profiles(self):
-        library = build_profile_library()
-        assert "customer-worst" in library
-        assert "idle" in library
-        assert "didt-test" in library
-
-    def test_customer_worst_matches_paper_extrapolation(self):
-        customer = build_profile_library()["customer-worst"]
-        assert customer.delta_i_fraction == pytest.approx(0.8)
-        assert not customer.synchronized
-
-    def test_only_test_codes_synchronize(self):
-        library = build_profile_library()
-        for name, profile in library.items():
-            if profile.synchronized:
-                assert name == "didt-test"
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            WorkloadProfile("x", delta_i_fraction=1.5, activity_fraction=0.5,
-                            dominant_freq_hz=1e6)
-        with pytest.raises(ConfigError):
-            WorkloadProfile("x", delta_i_fraction=0.5, activity_fraction=0.5,
-                            dominant_freq_hz=None)
-
-
-class TestCompilation:
-    def test_idle_compiles_steady(self, generator):
-        program = compile_profile(build_profile_library()["idle"], generator)
-        assert program.is_steady
-
-    def test_didt_test_reaches_full_envelope(self, generator):
-        program = compile_profile(build_profile_library()["didt-test"], generator)
-        mark = generator.max_didt(freq_hz=2.6e6, synchronize=True)
-        assert program.delta_i == pytest.approx(mark.delta_i, rel=0.01)
-        assert program.sync is not None
-
-    def test_customer_is_80pct_of_envelope(self, generator):
-        library = build_profile_library()
-        customer = compile_profile(library["customer-worst"], generator)
-        full = compile_profile(library["didt-test"], generator)
-        assert customer.delta_i == pytest.approx(0.8 * full.delta_i, rel=0.01)
-        assert customer.sync is None
-
-    def test_swing_never_exceeds_envelope(self, generator):
-        library = build_profile_library()
-        full = compile_profile(library["didt-test"], generator)
-        for profile in library.values():
-            program = compile_profile(profile, generator)
-            assert program.i_high <= full.i_high + 1e-9
-            assert program.i_low >= full.i_low - 1e-9
-
-    def test_activity_positions_baseline(self, generator):
-        hot = WorkloadProfile("hot", 0.2, 0.9, 1e6)
-        cold = WorkloadProfile("cold", 0.2, 0.1, 1e6)
-        assert (
-            compile_profile(hot, generator).i_low
-            > compile_profile(cold, generator).i_low
-        )
 
 
 class TestUtilizationTraces:
@@ -95,10 +28,6 @@ class TestUtilizationTraces:
     def test_mean_utilization_tracks_load_band(self):
         trace = synthetic_utilization_trace(base_load=0.2, peak_load=0.6, noise=0.0)
         assert 0.2 <= trace.mean_utilization <= 0.6
-
-    def test_occupancy_shares_sum_to_one(self):
-        trace = synthetic_utilization_trace(seed=3)
-        assert sum(trace.occupancy_shares().values()) == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -186,7 +186,7 @@ def test_over_threshold_fraction_counts_bad_events():
 
 
 def test_tick_snapshot_diffs_wire_shapes():
-    """`top --serve` diffs successive remote metrics replies."""
+    """Successive wire-shape metrics replies diff like live telemetry."""
     series = TelemetrySeries()
     reply = {
         "counters": {"serve.requests": 4},
@@ -197,7 +197,7 @@ def test_tick_snapshot_diffs_wire_shapes():
                  "buckets": [0, 0, 0, 4]},
         },
     }
-    series.tick_snapshot(reply, now=0.0)
+    series.tick_state(series_state(reply), now=0.0)
     later = {
         "counters": {"serve.requests": 10},
         "timers": {},
@@ -207,7 +207,7 @@ def test_tick_snapshot_diffs_wire_shapes():
                  "buckets": [0, 0, 0, 10]},
         },
     }
-    window = series.tick_snapshot(later, now=3.0)
+    window = series.tick_state(series_state(later), now=3.0)
     assert window.rate("serve.requests") == pytest.approx(2.0)
     assert window.hist_count("serve.request.seconds") == 6
 

@@ -4,7 +4,8 @@ This is the reference time-domain solver for PDN netlists.  It plays the
 role the Cadence/Sigrity tool played for the paper's authors: an
 independent engine used to confirm what the primary (modal) solution
 predicts.  The test suite cross-checks the two solvers against each
-other on random networks.
+other on random networks; no production path runs it, which is why it
+lives here and why scipy is a test dependency only.
 
 The method is the classic SPICE approach: companion models for the
 reactive elements under trapezoidal integration, a constant system
@@ -25,9 +26,9 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from ..errors import SolverError
-from .elements import GROUND
-from .netlist import Netlist
+from repro.errors import SolverError
+from repro.pdn.elements import GROUND
+from repro.pdn.netlist import Netlist
 
 __all__ = ["TransientResult", "simulate_transient"]
 

@@ -1,13 +1,13 @@
-"""Cycle-level pipeline simulator.
+"""Cycle-level pipeline simulator: the oracle of the analytic IPC model.
 
 An independent, executable model of the core used to (a) validate the
-analytic throughput model and (b) produce per-cycle energy traces, from
-which the power ramp shape of a workload transition can be observed.
-It is intentionally simpler than a full OoO model — dispatch groups
-issue in order, each µop occupies a functional-unit instance for one
-cycle (pipelined) or for its latency (non-pipelined), serializing
-instructions drain the machine — which matches the granularity the
-stressmark methodology needs.
+analytic throughput model (:mod:`repro.uarch.throughput`) and (b)
+produce per-cycle energy traces, from which the power ramp shape of a
+workload transition can be observed.  It is intentionally simpler than
+a full OoO model — dispatch groups issue in order, each µop occupies a
+functional-unit instance for one cycle (pipelined) or for its latency
+(non-pipelined), serializing instructions drain the machine — which
+matches the granularity the stressmark methodology needs.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import UarchError
-from ..isa.instruction import InstructionDef
-from .energy import EnergyModel
-from .grouping import form_groups
-from .resources import CoreConfig
+from repro.errors import UarchError
+from repro.isa.instruction import InstructionDef
+from repro.uarch.energy import EnergyModel
+from repro.uarch.grouping import form_groups
+from repro.uarch.resources import CoreConfig
 
 __all__ = ["PipelineResult", "simulate_loop"]
 

@@ -25,11 +25,9 @@ from repro.pdn.kernels import (
     compile_kernel,
     library_fingerprint,
 )
-from repro.pdn.superposition import (
-    EdgeTrain,
-    assemble_voltage,
-    edges_from_square_wave,
-)
+from repro.pdn.superposition import EdgeTrain, edges_from_square_wave
+
+from ..oracles.superposition import assemble_voltage
 
 
 @pytest.fixture(scope="module")

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.pdn.mna import simulate_transient
 from repro.pdn.netlist import Netlist
 from repro.pdn.state_space import ModalSystem, build_state_space
+
+from ..oracles.mna import simulate_transient
 
 
 def rc_net(r=1.0, c=1e-6, esr=1e-3):

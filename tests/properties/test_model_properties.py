@@ -105,7 +105,7 @@ def test_edge_trains_are_charge_neutral(delta, freq, events, duty):
     train = edges_from_square_wave("p", delta, freq, events, duty=duty)
     # Rising and falling edges cancel: the burst ends at the baseline.
     assert train.deltas.sum() == pytest.approx(0.0, abs=1e-9)
-    assert train.n_edges == 2 * events
+    assert train.times.size == 2 * events
     assert np.all(np.diff(train.times) > -1e-15)
 
 

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.errors import SolverError
-
-from repro.pdn.mna import simulate_transient
 from repro.pdn.netlist import Netlist
 from repro.pdn.state_space import ModalSystem, build_state_space
+
+from ..oracles.mna import simulate_transient
 
 # Element-value strategies spanning realistic PDN decades.
 resistances = st.floats(min_value=1e-4, max_value=1.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 import urllib.error
 import urllib.request
 
@@ -143,8 +144,6 @@ class TestTicker:
             window_s=0.02,
         ).start()
         try:
-            import time
-
             deadline = time.monotonic() + 10.0
             while len(svc.series) < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -152,6 +151,29 @@ class TestTicker:
         finally:
             svc.stop()
         assert svc._ticker is None or not svc._ticker.is_alive()
+
+    def test_first_window_counts_requests_made_right_after_start(
+        self, chip, cheap_options, telemetry
+    ):
+        """``serve.requests`` counts on arrival, so the request lands in
+        the first window however long its solve takes — provided the
+        baseline was taken when the ticker started, not one window
+        later."""
+        svc = SimulationService(
+            chip, cheap_options,
+            cache=ResultCache(cache_dir=None, telemetry=telemetry),
+            jobs=1, telemetry=telemetry,
+            window_s=0.5,
+        ).start()
+        try:
+            assert svc.handle(simulate_payload())["ok"]
+            deadline = time.monotonic() + 10.0
+            while len(svc.series) < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            first = svc.series.last(len(svc.series))[0]
+        finally:
+            svc.stop()
+        assert first.delta("serve.requests") == 1
 
 
 class TestHttpScrape:

@@ -83,6 +83,31 @@ class TestPublicApi:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_no_production_module_imports_scipy(self):
+        """numpy is the only runtime dependency: importing every module
+        of the package loads no scipy (the MNA oracle that needs it
+        ships with the tests)."""
+        src = Path(repro.__file__).resolve().parents[1]
+        script = (
+            "import importlib, pkgutil, sys\n"
+            "import repro\n"
+            "names = [m.name for m in pkgutil.walk_packages("
+            "repro.__path__, 'repro.')]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "print(len(names), 'scipy' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        count, scipy_loaded = out.stdout.split()
+        assert int(count) > 100
+        assert scipy_loaded == "False"
+
     def test_subpackage_alls_resolve(self):
         import repro.analysis as analysis
         import repro.mitigation as mitigation

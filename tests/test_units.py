@@ -15,7 +15,6 @@ from repro.units import (
     format_freq,
     format_si,
     format_time,
-    parse_freq,
 )
 
 
@@ -72,22 +71,3 @@ class TestFreqTimeShortcuts:
 
     def test_format_time(self):
         assert format_time(4e-3) == "4ms"
-
-
-class TestParseFreq:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("2MHz", 2e6),
-            ("40 kHz", 4e4),
-            ("5.5GHz", 5.5e9),
-            ("100hz", 100.0),
-            ("1e6", 1e6),
-        ],
-    )
-    def test_round_trips(self, text, expected):
-        assert parse_freq(text) == pytest.approx(expected)
-
-    def test_garbage_raises(self):
-        with pytest.raises(ValueError):
-            parse_freq("not a frequency")

@@ -76,7 +76,6 @@ class TestEnergyAccessors:
 
     def test_idle_power_and_current(self, target):
         model = target.energy_model
-        assert model.idle_power == target.core.static_power_w
         assert model.idle_current == pytest.approx(
             target.core.static_power_w / target.core.vnom
         )

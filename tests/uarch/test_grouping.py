@@ -1,7 +1,7 @@
 """Dispatch-group formation tests."""
 
 from repro.isa.instruction import InstructionDef
-from repro.uarch.grouping import average_group_size, form_groups
+from repro.uarch.grouping import form_groups
 from repro.uarch.resources import default_core_config
 
 
@@ -58,14 +58,3 @@ class TestGroupFormation:
 
     def test_empty_body(self):
         assert form_groups([], CFG) == []
-
-
-class TestAverageGroupSize:
-    def test_full_width(self):
-        assert average_group_size([ADD] * 6, CFG) == 3.0
-
-    def test_branch_heavy(self):
-        assert average_group_size([BR] * 6, CFG) == 1.0
-
-    def test_empty(self):
-        assert average_group_size([], CFG) == 0.0

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from repro.errors import UarchError
-from repro.uarch.pipeline import simulate_loop
 from repro.uarch.throughput import analyze_loop
+
+from ..oracles.pipeline import simulate_loop
 
 
 class TestAgainstAnalyticModel:
